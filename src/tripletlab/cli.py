@@ -7,8 +7,9 @@ manifest with sha256 checksums, and is byte-deterministic given its flags.
 ``tripletlab rerun <manifest>`` re-executes a recorded run next to the
 manifest and verifies the checksums still match.
 
-Exit codes: 0 success, 1 usage error, 2 data/IO error, 3 numeric failure
-(degenerate vectors).
+Exit codes: 0 success; 1 any invalid flag value, including seed and class
+count; 2 an unreadable, malformed or non-finite input file or manifest;
+3 degenerate vectors. A refused run writes no manifest.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .synthdata import (
     DatasetParseError,
     generate,
     load,
+    read_table,
     save,
 )
 from .trainer import GradMode, ModelParams, TrainConfig, embed, train
@@ -47,31 +49,12 @@ EXIT_NUMERIC = 3
 OUT_DIR_ENV = "TRIPLETLAB_OUT"
 
 
-class UsageError(Exception):
-    """Invalid flag values caught after argparse."""
-
-
 @dataclass(frozen=True)
 class PathContext:
-    """Where relative outputs and inputs resolve to."""
+    """Where relative outputs and inputs resolve to (absolute ones stay)."""
 
     out_base: Path
     in_base: Path
-
-    @staticmethod
-    def from_env() -> "PathContext":
-        return PathContext(
-            out_base=Path(os.environ.get(OUT_DIR_ENV, ".")),
-            in_base=Path("."),
-        )
-
-    def out_path(self, name: str) -> Path:
-        p = Path(name)
-        return p if p.is_absolute() else self.out_base / p
-
-    def in_path(self, name: str) -> Path:
-        p = Path(name)
-        return p if p.is_absolute() else self.in_base / p
 
 
 def _round12(obj):
@@ -85,325 +68,171 @@ def _round12(obj):
     return obj
 
 
+def _json_text(obj) -> str:
+    return json.dumps(_round12(obj), indent=2) + "\n"
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    FLOAT_FMT % v if isinstance(v, float) else str(v)
-                    for v in row
-                )
-                + "\n"
-            )
+def _basenames(cfg: dict) -> dict:
+    """The config with its output paths cut to names next to the manifest."""
+    return {k: (Path(v).name if k in ("out", "out_prefix") else v)
+            for k, v in cfg.items()}
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_round12(obj), indent=2) + "\n")
+def _triplet_row(t) -> list:
+    return [t.anchor, t.positive, t.negative, t.coord.s_ap, t.coord.s_an]
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+class _Artifacts:
+    """The files of one run, named from its output prefix.
 
-
-def _write_manifest(
-    ctx: PathContext,
-    prefix: str,
-    command: str,
-    config: dict,
-    seed,
-    outputs: dict[str, str],
-) -> Path:
-    """Record command, resolved config, and artifact checksums.
-
-    Output names are stored relative to the manifest's own directory and
-    the stored config carries basename prefixes, so a manifest plus its
-    sibling files is a relocatable, re-runnable unit and a rerun rewrites
-    the manifest byte-identically.
+    Each artifact is ``<prefix><suffix>`` and is listed in the manifest
+    under its key, in the order it was added.
     """
-    manifest_path = ctx.out_path(f"{prefix}.manifest.json")
-    out_dir = manifest_path.parent
-    checksums = {name: _sha256(out_dir / name) for name in outputs.values()}
-    config = {
-        key: (Path(value).name if key in ("out", "out_prefix") else value)
-        for key, value in config.items()
-    }
-    _write_json(
-        manifest_path,
-        {
+
+    def __init__(self, ctx: PathContext, prefix: str):
+        self.ctx = ctx
+        self.prefix = prefix
+        self.outputs: dict[str, str] = {}
+
+    def path(self, key: str, suffix: str) -> Path:
+        """List an artifact and return where to write it."""
+        self.outputs[key] = Path(self.prefix).name + suffix
+        path = self.ctx.out_base / (self.prefix + suffix)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def csv(self, key: str, suffix: str, header: list[str], rows) -> None:
+        """Stream rows to a CSV; floats at 12 significant digits."""
+        with self.path(key, suffix).open("w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(FLOAT_FMT % v if isinstance(v, float)
+                                  else str(v) for v in row) + "\n")
+
+    def text(self, key: str, suffix: str, text: str) -> None:
+        self.path(key, suffix).write_text(text)
+
+    def manifest(self, command: str, cfg: dict, summary: str) -> None:
+        """Record command, resolved config, and artifact checksums, then
+        print ``<summary> <manifest path>``.
+
+        Output names are stored relative to the manifest's own directory
+        and the stored config carries basename prefixes, so a manifest
+        plus its sibling files is a relocatable, re-runnable unit and a
+        rerun rewrites the manifest byte-identically.
+        """
+        path = self.ctx.out_base / f"{self.prefix}.manifest.json"
+        checksums = {
+            name: _sha256(path.parent / name) for name in self.outputs.values()
+        }
+        path.write_text(_json_text({
             "command": command,
-            "config": config,
-            "seed": seed,
-            "outputs": outputs,
+            "config": _basenames(cfg),
+            "seed": cfg.get("seed"),
+            "outputs": self.outputs,
             "checksums": checksums,
-        },
-    )
-    return manifest_path
-
-
-def _prefix_basename(prefix: str) -> tuple[str, str]:
-    """Split an --out-prefix into (directory part, name part)."""
-    p = Path(prefix)
-    return str(p.parent), p.name
+        }))
+        print(f"{summary} {path}")
 
 
 # ---------------------------------------------------------------- commands
+# Each runner writes its artifacts through ``arts`` and returns the start
+# of its summary line; ``_execute`` then writes the manifest.
 
 
-def run_gen_data(cfg: dict, ctx: PathContext) -> dict:
-    try:
-        dataset_cfg = DatasetConfig(
-            num_classes=cfg["classes"],
-            per_class=cfg["per_class"],
-            input_dim=cfg["dim"],
-            intra_spread=cfg["spread"],
-            seed=cfg["seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    ds = generate(dataset_cfg)
-    out_name = cfg["out"]
-    out_path = ctx.out_path(out_name)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save(ds, out_path)
-    prefix = out_name[:-4] if out_name.endswith(".csv") else out_name
-    manifest = _write_manifest(
-        ctx,
-        prefix,
-        "gen-data",
-        cfg,
-        cfg["seed"],
-        {"dataset": Path(out_name).name},
-    )
-    print(f"wrote {out_path} ({len(ds)} rows) and {manifest}")
-    return cfg
+def run_gen_data(cfg: dict, arts: _Artifacts) -> str:
+    ds = generate(DatasetConfig(
+        cfg["classes"], cfg["per_class"], cfg["dim"], cfg["spread"],
+        seed=cfg["seed"],
+    ))
+    path = arts.path("dataset", cfg["out"][len(arts.prefix):])
+    save(ds, path)
+    return f"wrote {path} ({len(ds)} rows) and"
 
 
 def _step_params(cfg: dict) -> StepParams:
-    kind = LossKind(cfg["loss"])
-    if kind == LossKind.SCT:
-        raise UsageError("diagram dynamics support nca and margin only")
-    try:
-        return StepParams(
-            learning_rate=cfg["beta_scale"],
-            gamma=cfg["gamma"],
-            entanglement_p=cfg["p"],
-            loss=LossSpec(kind=kind, margin=cfg["margin"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def run_simulate(cfg: dict, ctx: PathContext) -> dict:
-    params = _step_params(cfg)
-    try:
-        grid = GridSpec(resolution=cfg["resolution"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    field = vector_field(grid, params)
-    prefix = cfg["out_prefix"]
-    rows = zip(
-        field.s_ap,
-        field.s_an,
-        field.d_sap,
-        field.d_san,
-        field.d_sap_total,
-        field.d_san_total,
+    return StepParams(
+        learning_rate=cfg["beta_scale"],
+        gamma=cfg["gamma"],
+        entanglement_p=cfg["p"],
+        loss=LossSpec(kind=LossKind(cfg["loss"]), margin=cfg["margin"]),
     )
-    _write_csv(
-        ctx.out_path(f"{prefix}.field.csv"),
+
+
+def run_simulate(cfg: dict, arts: _Artifacts) -> str:
+    field = vector_field(
+        GridSpec(resolution=cfg["resolution"]), _step_params(cfg)
+    )
+    arts.csv(
+        "field_csv", ".field.csv",
         ["s_ap", "s_an", "d_sap", "d_san", "d_sap_total", "d_san_total"],
-        ([float(v) for v in row] for row in rows),
+        zip(field.s_ap, field.s_an, field.d_sap, field.d_san,
+            field.d_sap_total, field.d_san_total),
     )
-    title = (
-        f"{cfg['loss']} field (p={cfg['p']:g}, gamma={cfg['gamma']:g}, "
-        f"beta_scale={cfg['beta_scale']:g})"
-    )
-    _write_text(
-        ctx.out_path(f"{prefix}.field.svg"),
+    arts.text(
+        "field_svg", ".field.svg",
         field_quiver(
             field.s_ap, field.s_an, field.d_sap_total, field.d_san_total,
-            title,
+            f"{cfg['loss']} field (p={cfg['p']:g}, gamma={cfg['gamma']:g}, "
+            f"beta_scale={cfg['beta_scale']:g})",
         ),
     )
-    _, name = _prefix_basename(prefix)
-    manifest = _write_manifest(
-        ctx,
-        prefix,
-        "simulate",
-        cfg,
-        None,
-        {"field_csv": f"{name}.field.csv", "field_svg": f"{name}.field.svg"},
-    )
-    print(f"wrote {len(field)} cells under {ctx.out_path(prefix)}.* "
-          f"and {manifest}")
-    return cfg
+    return (f"wrote {len(field)} cells under "
+            f"{arts.ctx.out_base / arts.prefix}.* and")
 
 
-def run_trajectory(cfg: dict, ctx: PathContext) -> dict:
+def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
     params = _step_params(cfg)
-    if cfg["steps"] < 1:
-        raise UsageError("--steps must be >= 1")
-    if not (-1 <= cfg["start_sap"] <= 1 and -1 <= cfg["start_san"] <= 1):
-        raise UsageError("trajectory start must lie in [-1, 1]^2")
-    points = trajectory(
-        TripletCoord(cfg["start_sap"], cfg["start_san"]),
-        params,
-        cfg["steps"],
-    )
-    prefix = cfg["out_prefix"]
-    rows = []
-    for pt in points:
-        upd = step(pt, params)
-        rows.append(
-            [pt.s_ap, pt.s_an, float(upd.d_sap_total), float(upd.d_san_total)]
-        )
-    _write_csv(
-        ctx.out_path(f"{prefix}.trajectory.csv"),
-        ["s_ap", "s_an", "d_sap", "d_san"],
-        rows,
-    )
-    _write_text(
-        ctx.out_path(f"{prefix}.trajectory.svg"),
+    start = TripletCoord(cfg["start_sap"], cfg["start_san"])
+    if not all(-1 <= c <= 1 for c in start):
+        raise ValueError("trajectory start must lie in [-1, 1]^2")
+    points = trajectory(start, params, cfg["steps"])
+    updates = (step(pt, params) for pt in points)
+    arts.csv("trajectory_csv", ".trajectory.csv",
+             ["s_ap", "s_an", "d_sap", "d_san"],
+             ([*pt, u.d_sap_total, u.d_san_total]
+              for pt, u in zip(points, updates)))
+    arts.text(
+        "trajectory_svg", ".trajectory.svg",
         trajectory_path(
             [(pt.s_ap, pt.s_an) for pt in points],
             f"{cfg['loss']} trajectory from "
             f"({cfg['start_sap']:g}, {cfg['start_san']:g})",
         ),
     )
-    _, name = _prefix_basename(prefix)
-    manifest = _write_manifest(
-        ctx,
-        prefix,
-        "trajectory",
-        cfg,
-        None,
-        {
-            "trajectory_csv": f"{name}.trajectory.csv",
-            "trajectory_svg": f"{name}.trajectory.svg",
-        },
-    )
-    print(f"rolled {cfg['steps']} steps; wrote {manifest}")
-    return cfg
+    return f"rolled {cfg['steps']} steps; wrote"
 
 
-def _loss_spec(cfg: dict) -> LossSpec:
-    try:
-        return LossSpec(
-            kind=LossKind(cfg["loss"]),
-            lam=cfg["lam"],
-            margin=cfg["margin"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _save_weights(path: Path, params: ModelParams) -> None:
-    _write_csv(
-        path,
-        [f"w{j}" for j in range(params.embed_dim)],
-        ([float(v) for v in row] for row in params.weight),
-    )
-
-
-def _load_weights(path: Path) -> ModelParams:
-    if not path.exists():
-        raise DatasetParseError(f"{path}: no such file")
-    rows = path.read_text().splitlines()
-    if len(rows) < 2:
-        raise DatasetParseError(f"{path}: empty weights file")
-    width = len(rows[0].split(","))
-    weight = []
-    for lineno, line in enumerate(rows[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise DatasetParseError(
-                f"{path}: line {lineno}: expected {width} columns"
-            )
-        try:
-            weight.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DatasetParseError(
-                f"{path}: line {lineno}: {exc}"
-            ) from exc
-    return ModelParams(weight=np.asarray(weight))
-
-
-def run_train(cfg: dict, ctx: PathContext) -> dict:
-    try:
-        config = TrainConfig(
-            loss=_loss_spec(cfg),
-            strategy=MiningStrategy(cfg["miner"]),
-            grad_mode=GradMode(cfg["grad_mode"]),
-            learning_rate=cfg["lr"],
-            epochs=cfg["epochs"],
-            classes_per_batch=cfg["classes_per_batch"],
-            embed_dim=cfg["embed_dim"],
-            seed=cfg["seed"],
-            snapshot_every=cfg["snapshot_every"],
-            batches_per_epoch=cfg["batches_per_epoch"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    dataset = load(ctx.in_path(cfg["data"]))
-    params, logs = train(dataset, config)
-    prefix = cfg["out_prefix"]
-    _, name = _prefix_basename(prefix)
-    outputs = {
-        "epochs_json": f"{name}.epochs.json",
-        "epochs_csv": f"{name}.epochs.csv",
-        "weights_csv": f"{name}.weights.csv",
-        "curves_svg": f"{name}.curves.svg",
-    }
-    records = [
-        {
-            "epoch": log.epoch,
-            "mean_loss": log.mean_loss,
-            "hard_fraction": log.hard_fraction,
-            "recall_at_1": log.recall_at_1,
-            "collapse": log.collapse,
-        }
-        for log in logs
-    ]
-    _write_json(ctx.out_path(f"{prefix}.epochs.json"), records)
-    _write_csv(
-        ctx.out_path(f"{prefix}.epochs.csv"),
-        ["epoch", "mean_loss", "hard_fraction", "recall_at_1", "collapse"],
-        (
-            [
-                log.epoch,
-                log.mean_loss,
-                log.hard_fraction,
-                log.recall_at_1,
-                log.collapse,
-            ]
-            for log in logs
+def run_train(cfg: dict, arts: _Artifacts) -> str:
+    config = TrainConfig(
+        loss=LossSpec(
+            kind=LossKind(cfg["loss"]), lam=cfg["lam"], margin=cfg["margin"]
         ),
+        strategy=MiningStrategy(cfg["miner"]),
+        grad_mode=GradMode(cfg["grad_mode"]),
+        learning_rate=cfg["lr"],
+        epochs=cfg["epochs"],
+        classes_per_batch=cfg["classes_per_batch"],
+        embed_dim=cfg["embed_dim"],
+        seed=cfg["seed"],
+        snapshot_every=cfg["snapshot_every"],
+        batches_per_epoch=cfg["batches_per_epoch"],
     )
-    _save_weights(ctx.out_path(f"{prefix}.weights.csv"), params)
-    for log in logs:
-        if log.snapshot is None:
-            continue
-        snap_name = f"{name}.snap{log.epoch:04d}.csv"
-        _write_csv(
-            ctx.out_path(f"{prefix}.snap{log.epoch:04d}.csv"),
-            ["anchor", "positive", "negative", "s_ap", "s_an"],
-            (
-                [t.anchor, t.positive, t.negative,
-                 float(t.coord.s_ap), float(t.coord.s_an)]
-                for t in log.snapshot
-            ),
-        )
-        outputs[f"snap_{log.epoch:04d}"] = snap_name
-    _write_text(
-        ctx.out_path(f"{prefix}.curves.svg"),
+    params, logs = train(load(arts.ctx.in_base / cfg["data"]), config)
+    columns = ["epoch", "mean_loss", "hard_fraction", "recall_at_1",
+               "collapse"]
+    records = [{c: getattr(log, c) for c in columns} for log in logs]
+    arts.text("epochs_json", ".epochs.json", _json_text(records))
+    arts.csv("epochs_csv", ".epochs.csv", columns,
+             ([r[c] for c in columns] for r in records))
+    arts.csv("weights_csv", ".weights.csv",
+             [f"w{j}" for j in range(params.embed_dim)], params.weight)
+    arts.text(
+        "curves_svg", ".curves.svg",
         line_chart(
             [
                 ("recall@1", [log.recall_at_1 for log in logs]),
@@ -413,22 +242,23 @@ def run_train(cfg: dict, ctx: PathContext) -> dict:
             f"seed={cfg['seed']})",
         ),
     )
-    manifest = _write_manifest(
-        ctx, prefix, "train", cfg, cfg["seed"], outputs
-    )
+    for log in logs:
+        if log.snapshot is not None:
+            arts.csv(f"snap_{log.epoch:04d}", f".snap{log.epoch:04d}.csv",
+                     ["anchor", "positive", "negative", "s_ap", "s_an"],
+                     map(_triplet_row, log.snapshot))
     final = logs[-1]
-    print(
+    return (
         f"trained {cfg['epochs']} epochs: recall@1={final.recall_at_1:.4f} "
         f"hard_fraction={final.hard_fraction:.4f} "
-        f"collapse={final.collapse:.4f}; wrote {manifest}"
+        f"collapse={final.collapse:.4f}; wrote"
     )
-    return cfg
 
 
-def run_diagram(cfg: dict, ctx: PathContext) -> dict:
-    dataset = load(ctx.in_path(cfg["data"]))
+def run_diagram(cfg: dict, arts: _Artifacts) -> str:
+    dataset = load(arts.ctx.in_base / cfg["data"])
     if cfg["weights"] is not None:
-        params = _load_weights(ctx.in_path(cfg["weights"]))
+        params = ModelParams(read_table(arts.ctx.in_base / cfg["weights"])[2])
         if params.input_dim != dataset.dim:
             raise DatasetParseError(
                 f"weights expect input_dim {params.input_dim}, "
@@ -440,96 +270,60 @@ def run_diagram(cfg: dict, ctx: PathContext) -> dict:
         if np.any(norms <= 1e-12):
             raise DegenerateVectorError("dataset contains a zero vector")
         feats = dataset.points / norms
-    batch = Batch(embeddings=feats, labels=dataset.labels)
-    triplets = diagram_extract(batch)
-    prefix = cfg["out_prefix"]
-    _write_csv(
-        ctx.out_path(f"{prefix}.diagram.csv"),
+    triplets = diagram_extract(Batch(embeddings=feats, labels=dataset.labels))
+    hard = [is_hard(t.coord) for t in triplets]
+    arts.csv(
+        "diagram_csv", ".diagram.csv",
         ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
-        (
-            [
-                t.anchor,
-                t.positive,
-                t.negative,
-                float(t.coord.s_ap),
-                float(t.coord.s_an),
-                int(is_hard(t.coord)),
-            ]
-            for t in triplets
-        ),
+        (_triplet_row(t) + [int(h)] for t, h in zip(triplets, hard)),
     )
-    _write_text(
-        ctx.out_path(f"{prefix}.diagram.svg"),
+    arts.text(
+        "diagram_svg", ".diagram.svg",
         diagram_scatter(
-            [
-                (t.coord.s_ap, t.coord.s_an, is_hard(t.coord))
-                for t in triplets
-            ],
+            [(t.coord.s_ap, t.coord.s_an, h) for t, h in zip(triplets, hard)],
             "easiest-positive / hardest-negative diagram",
         ),
     )
-    _, name = _prefix_basename(prefix)
-    manifest = _write_manifest(
-        ctx,
-        prefix,
-        "diagram",
-        cfg,
-        None,
-        {
-            "diagram_csv": f"{name}.diagram.csv",
-            "diagram_svg": f"{name}.diagram.svg",
-        },
-    )
-    n_hard = sum(is_hard(t.coord) for t in triplets)
-    print(
-        f"extracted {len(triplets)} diagram points ({n_hard} hard); "
-        f"wrote {manifest}"
-    )
-    return cfg
+    return (f"extracted {len(triplets)} diagram points ({sum(hard)} hard); "
+            f"wrote")
 
 
-RUNNERS = {
-    "gen-data": run_gen_data,
-    "simulate": run_simulate,
-    "trajectory": run_trajectory,
-    "train": run_train,
-    "diagram": run_diagram,
-}
+def _execute(commands: dict, command: str, cfg: dict, ctx: PathContext):
+    """Run one command, then write its manifest and summary line."""
+    run = commands[command].get_default("run")
+    if "out_prefix" in cfg:
+        arts = _Artifacts(ctx, cfg["out_prefix"])
+    else:
+        arts = _Artifacts(ctx, cfg["out"].removesuffix(".csv"))
+    arts.manifest(command, cfg, run(cfg, arts))
 
 
-def run_rerun(manifest_name: str, ctx: PathContext) -> int:
-    manifest_path = ctx.in_path(manifest_name)
-    if not manifest_path.exists():
-        raise DatasetParseError(f"{manifest_path}: no such manifest")
+def run_rerun(manifest_name: str, ctx: PathContext, commands: dict) -> int:
+    manifest_path = ctx.in_base / manifest_name
     try:
         manifest = json.loads(manifest_path.read_text())
         command = manifest["command"]
-        cfg = dict(manifest["config"])
-        recorded = manifest["checksums"]
-    except (json.JSONDecodeError, KeyError) as exc:
+        cfg = _basenames(dict(manifest["config"]))
+        recorded = dict(manifest["checksums"])
+        if command not in commands:
+            raise ValueError(f"unknown command {command!r}")
+        if set(cfg) != set(commands[command].config_keys):
+            raise ValueError(f"config keys {sorted(cfg)} do not match "
+                             f"{command}'s flags")
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetParseError(
             f"{manifest_path}: malformed manifest ({exc})"
         ) from exc
-    if command not in RUNNERS:
-        raise DatasetParseError(
-            f"{manifest_path}: unknown command {command!r}"
-        )
     base = manifest_path.parent
     # outputs land next to the manifest; inputs resolve relative to it too
-    rerun_ctx = PathContext(out_base=base, in_base=base)
-    for key in ("out", "out_prefix"):
-        if key in cfg:
-            cfg[key] = Path(cfg[key]).name
-    RUNNERS[command](cfg, rerun_ctx)
-    mismatched = []
+    _execute(commands, command, cfg, PathContext(base, base))
+    mismatched = 0
     for out_name, digest in sorted(recorded.items()):
-        actual = _sha256(base / Path(out_name).name)
-        status = "ok" if actual == digest else "MISMATCH"
-        if actual != digest:
-            mismatched.append(out_name)
-        print(f"  {out_name}: {status}")
+        ok = _sha256(base / Path(out_name).name) == digest
+        mismatched += not ok
+        print(f"  {out_name}: {'ok' if ok else 'MISMATCH'}")
     if mismatched:
-        print(f"rerun: {len(mismatched)} artifact(s) diverged")
+        print(f"rerun: {mismatched} artifact(s) diverged")
         return EXIT_DATA
     print("rerun: all checksums match")
     return EXIT_OK
@@ -539,7 +333,24 @@ def run_rerun(manifest_name: str, ctx: PathContext) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the package's exit-code contract (usage errors: 1)."""
+    """argparse with the package's exit-code contract (usage errors: 1).
+
+    ``config_keys`` lists the destinations of the flags added to this
+    parser, in order: a command's manifest config is exactly these keys.
+    ``commands`` maps each command that writes a manifest to its parser,
+    whose default ``run`` is the function that executes it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.config_keys: list[str] = []
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest != "help":
+            self.config_keys.append(action.dest)
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -557,7 +368,12 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a labeled sphere dataset")
+    def command(name: str, run, help: str) -> _Parser:
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("gen-data", run_gen_data, "generate a labeled sphere dataset")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -566,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = sub.add_parser("simulate", help="vector field over the diagram")
+    p = command("simulate", run_simulate, "vector field over the diagram")
     p.add_argument("--loss", choices=["nca", "margin"], default="nca")
     p.add_argument("--p", type=float, default=0.0,
                    help="entanglement strength")
@@ -578,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--margin", type=float, default=0.2)
     p.add_argument("--out-prefix", required=True)
 
-    p = sub.add_parser("trajectory", help="multi-step diagram rollout")
+    p = command("trajectory", run_trajectory, "multi-step diagram rollout")
     p.add_argument("--loss", choices=["nca", "margin"], default="nca")
     p.add_argument("--start-sap", type=float, required=True)
     p.add_argument("--start-san", type=float, required=True)
@@ -589,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("--margin", type=float, default=0.2)
     p.add_argument("--out-prefix", required=True)
 
-    p = sub.add_parser("train", help="train the linear embedding")
+    p = command("train", run_train, "train the linear embedding")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--loss", choices=["nca", "margin", "sct"], default="nca")
     p.add_argument("--miner",
@@ -610,8 +426,8 @@ def build_parser() -> _Parser:
                    help="default: one pass over the data")
     p.add_argument("--out-prefix", required=True)
 
-    p = sub.add_parser("diagram",
-                       help="easiest-positive/hardest-negative diagram")
+    p = command("diagram", run_diagram,
+                "easiest-positive/hardest-negative diagram")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--weights", default=None,
                    help="trained weights CSV (default: raw points)")
@@ -623,41 +439,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "gen-data": ["classes", "per_class", "dim", "spread", "seed", "out"],
-    "simulate": ["loss", "p", "gamma", "beta_scale", "resolution", "margin",
-                 "out_prefix"],
-    "trajectory": ["loss", "start_sap", "start_san", "steps", "p", "gamma",
-                   "beta_scale", "margin", "out_prefix"],
-    "train": ["data", "loss", "miner", "grad_mode", "lr", "epochs",
-              "classes_per_batch", "embed_dim", "lam", "margin", "seed",
-              "snapshot_every", "batches_per_epoch", "out_prefix"],
-    "diagram": ["data", "weights", "out_prefix"],
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    ctx = PathContext.from_env()
+    ctx = PathContext(Path(os.environ.get(OUT_DIR_ENV, ".")), Path("."))
     try:
         if args.command == "rerun":
-            return run_rerun(args.manifest, ctx)
-        cfg = {key: getattr(args, key) for key in _CONFIG_KEYS[args.command]}
-        RUNNERS[args.command](cfg, ctx)
+            return run_rerun(args.manifest, ctx, parser.commands)
+        keys = parser.commands[args.command].config_keys
+        cfg = {key: getattr(args, key) for key in keys}
+        _execute(parser.commands, args.command, cfg, ctx)
         return EXIT_OK
-    except UsageError as exc:
-        print(f"tripletlab: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DatasetParseError, NoNegativesError, OSError) as exc:
-        print(f"tripletlab: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        kind, code, error = "data", EXIT_DATA, exc
     except (DegenerateVectorError, UndefinedGammaError) as exc:
-        print(f"tripletlab: numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        kind, code, error = "numeric", EXIT_NUMERIC, exc
+    except ValueError as exc:
+        # every other refusal is an invalid flag value: bounds, seed,
+        # class count, and divergence under too large a learning rate
+        kind, code, error = "usage", EXIT_USAGE, exc
+    print(f"tripletlab: {kind} error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

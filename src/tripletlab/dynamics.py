@@ -62,10 +62,10 @@ class StepParams:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError("learning_rate must be finite and >= 0")
-        if abs(self.gamma) > 1.0:
-            raise ValueError("gamma must lie in [-1, 1]")
-        if self.entanglement_p < 0:
-            raise ValueError("entanglement_p must be >= 0")
+        if not abs(self.gamma) <= 1.0:  # also refuses NaN
+            raise ValueError("gamma must be finite and lie in [-1, 1]")
+        if not (np.isfinite(self.entanglement_p) and self.entanglement_p >= 0):
+            raise ValueError("entanglement_p must be finite and >= 0")
 
 
 class SimilarityUpdate(NamedTuple):

@@ -41,8 +41,8 @@ class DatasetConfig:
             raise ValueError("per_class must be >= 2")
         if self.input_dim < 2:
             raise ValueError("input_dim must be >= 2")
-        if self.intra_spread < 0:
-            raise ValueError("intra_spread must be >= 0")
+        if not (np.isfinite(self.intra_spread) and self.intra_spread >= 0):
+            raise ValueError("intra_spread must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,37 +103,54 @@ def save(ds: LabeledDataset, path: str | Path) -> None:
             writer.writerow([int(label)] + [FLOAT_FMT % x for x in row])
 
 
-def load(path: str | Path) -> LabeledDataset:
-    """Read a dataset CSV, reporting malformed lines by number."""
+def read_table(
+    path: str | Path, labeled: bool = False
+) -> tuple[list[str], np.ndarray | None, np.ndarray]:
+    """Read a numeric CSV with a header line, reporting bad lines by number.
+
+    Returns (header, labels, values). With labeled=True the first column
+    holds int labels and values the remaining columns; otherwise labels
+    is None and values holds every column. Non-finite values are rejected.
+    """
     path = Path(path)
     with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
-        raise DatasetParseError(f"{path}: empty dataset file")
+        raise DatasetParseError(f"{path}: empty file")
     header = rows[0]
-    if len(header) < 3 or header[0] != "label":
-        raise DatasetParseError(
-            f"{path}: line 1: expected header 'label,x0,...', got {header!r}"
-        )
-    dim = len(header) - 1
-    points = []
+    first = 1 if labeled else 0
     labels = []
+    values = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != dim + 1:
+        if len(row) != len(header):
             raise DatasetParseError(
-                f"{path}: line {lineno}: expected {dim + 1} columns, "
+                f"{path}: line {lineno}: expected {len(header)} columns, "
                 f"got {len(row)}"
             )
         try:
-            labels.append(int(row[0]))
-            points.append([float(x) for x in row[1:]])
+            if labeled:
+                labels.append(int(row[0]))
+            values.append([float(x) for x in row[first:]])
         except ValueError as exc:
             raise DatasetParseError(
                 f"{path}: line {lineno}: {exc}"
             ) from exc
-    if not points:
+    if not values:
         raise DatasetParseError(f"{path}: no data rows")
-    return LabeledDataset(
-        points=np.asarray(points), labels=np.asarray(labels)
-    )
+    values = np.asarray(values)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise DatasetParseError(
+            f"{path}: line {int(np.argmax(bad)) + 2}: non-finite value"
+        )
+    return header, np.asarray(labels) if labeled else None, values
+
+
+def load(path: str | Path) -> LabeledDataset:
+    """Read a dataset CSV, reporting malformed lines by number."""
+    header, labels, points = read_table(path, labeled=True)
+    if len(header) < 3 or header[0] != "label":
+        raise DatasetParseError(
+            f"{path}: line 1: expected header 'label,x0,...', got {header!r}"
+        )
+    return LabeledDataset(points=points, labels=labels)

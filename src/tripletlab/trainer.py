@@ -79,8 +79,8 @@ class TrainConfig:
     batches_per_epoch: int | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.classes_per_batch < 2:

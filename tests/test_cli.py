@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ class TestRerun:
     def test_missing_manifest_is_data_error(self, outdir):
         assert main(["rerun", str(outdir / "nope.json")]) == 2
 
+    def test_config_keys_must_match_command(self, outdir, capsys):
+        main(gen_args())
+        good = json.loads((outdir / "data.manifest.json").read_text())
+        extra = dict(good, config=dict(good["config"], bogus=1))
+        missing = dict(good, config={k: v for k, v in good["config"].items()
+                                     if k != "spread"})
+        empty = {"command": "train", "config": {}, "checksums": {}}
+        for i, manifest in enumerate([extra, missing, empty]):
+            path = outdir / f"bad{i}.json"
+            path.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert main(["rerun", str(path)]) == 2
+            assert "malformed manifest" in capsys.readouterr().err
+
 
 def test_manifest_byte_identical_after_rerun(outdir):
     main(["simulate", "--resolution", "9", "--out-prefix", "s"])
@@ -233,3 +248,56 @@ def test_manifest_byte_identical_after_rerun(outdir):
     before = manifest.read_bytes()
     assert main(["rerun", str(manifest)]) == 0
     assert manifest.read_bytes() == before
+
+
+def _train(data, *flags):
+    return ["train", "--data", data, "--epochs", "2",
+            "--classes-per-batch", "2", "--out-prefix", "r", *flags]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(gen_args(out="s.csv") + ["--seed", "-1"], 1,
+                 id="gen-data seed -1"),
+    pytest.param(_train("{d}/data.csv", "--seed", "-1"), 1,
+                 id="train seed -1"),
+    pytest.param(_train("{d}/data.csv", "--classes-per-batch", "8"), 1,
+                 id="classes-per-batch above class count"),
+    pytest.param(_train("{d}/data.csv", "--lr", "nan"), 1, id="lr nan"),
+    pytest.param(_train("{d}/data.csv", "--lr", "1e200"), 1,
+                 id="divergence", marks=pytest.mark.filterwarnings(
+                     "ignore:overflow:RuntimeWarning")),
+    pytest.param(gen_args(out="n.csv", spread="nan"), 1, id="spread nan"),
+    pytest.param(["simulate", "--gamma", "nan", "--out-prefix", "f"], 1,
+                 id="gamma nan"),
+    pytest.param(["simulate", "--p", "nan", "--out-prefix", "f"], 1,
+                 id="p nan"),
+    pytest.param(["simulate", "--p", "inf", "--out-prefix", "f"], 1,
+                 id="p inf"),
+    pytest.param(["diagram", "--data", "{d}/data.csv", "--weights",
+                  "{d}/nan_weights.csv", "--out-prefix", "d"], 2,
+                 id="nan weights"),
+    pytest.param(["diagram", "--data", "{d}/nan_data.csv",
+                  "--out-prefix", "d"], 2, id="nan dataset diagram"),
+    pytest.param(_train("{d}/nan_data.csv"), 2, id="nan dataset train"),
+    pytest.param(["rerun", "{d}/bad.manifest.json"], 2, id="bad manifest"),
+])
+def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
+    """Inputs that once escaped as tracebacks or exited 0 with NaN
+    artifacts: each returns its documented code, prints one error line,
+    and writes nothing."""
+    assert main(gen_args()) == 0
+    weights = ["w0,w1,w2,w3"] + ["0.1,0.2,0.3,0.4"] * 8
+    weights[5] = "0.1,nan,0.3,0.4"
+    (outdir / "nan_weights.csv").write_text("\n".join(weights) + "\n")
+    (outdir / "nan_data.csv").write_text(
+        "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n1,nan,0\n1,0,1\n"
+    )
+    (outdir / "bad.manifest.json").write_text(json.dumps(
+        {"command": "train", "config": {}, "checksums": {}}
+    ))
+    before = sorted(outdir.rglob("*"))
+    capsys.readouterr()
+    assert main([arg.format(d=outdir) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"tripletlab: \w+ error: ", err[0]), err
+    assert sorted(outdir.rglob("*")) == before

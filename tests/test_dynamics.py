@@ -165,6 +165,18 @@ class TestVectorField:
         with pytest.raises(ValueError):
             GridSpec(resolution=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -0.1), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("gamma", 1.5), ("gamma", float("nan")), ("gamma", float("inf")),
+        ("gamma", float("-inf")),
+        ("entanglement_p", -0.5), ("entanglement_p", float("nan")),
+        ("entanglement_p", float("inf")),
+    ])
+    def test_step_params_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StepParams(**{"learning_rate": 0.1, field: value})
+
     def test_projection_kills_gradient_near_sap_one(self):
         """|d_sap| at s_ap > 0.99 stays under 1% of the field max."""
         field = vector_field(

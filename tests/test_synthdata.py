@@ -6,6 +6,7 @@ from tripletlab.synthdata import (
     DatasetParseError,
     generate,
     load,
+    read_table,
     save,
 )
 
@@ -70,8 +71,9 @@ class TestGenerate:
             DatasetConfig(1, 4, 8, 0.5, 0)
         with pytest.raises(ValueError):
             DatasetConfig(4, 1, 8, 0.5, 0)
-        with pytest.raises(ValueError):
-            DatasetConfig(4, 4, 8, -0.5, 0)
+        for spread in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                DatasetConfig(4, 4, 8, spread, 0)
 
 
 class TestSaveLoad:
@@ -117,6 +119,33 @@ class TestSaveLoad:
     def test_non_numeric_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,x0,x1\n0,0.6,what\n")
+        with pytest.raises(DatasetParseError, match="line 2"):
+            load(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,x0,x1\n0,0.6,0.8\n1,{cell},0.8\n")
+        with pytest.raises(DatasetParseError, match="line 3: non-finite"):
+            load(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_unlabeled_table_rejects_non_finite(self, tmp_path, cell):
+        path = tmp_path / "w.csv"
+        path.write_text(f"w0,w1\n0.5,0.25\n1.0,0.5\n0.1,{cell}\n")
+        with pytest.raises(DatasetParseError, match="line 4: non-finite"):
+            read_table(path)
+
+    def test_unlabeled_table_values(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("w0,w1\n0.5,0.25\n1,-2\n")
+        header, labels, values = read_table(path)
+        assert header == ["w0", "w1"] and labels is None
+        assert np.array_equal(values, [[0.5, 0.25], [1.0, -2.0]])
+
+    def test_fractional_label_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label,x0,x1\n0.5,0.6,0.8\n")
         with pytest.raises(DatasetParseError, match="line 2"):
             load(path)
 

@@ -239,6 +239,11 @@ class TestTrain:
             assert ds.labels[t.anchor] == ds.labels[t.positive]
             assert ds.labels[t.anchor] != ds.labels[t.negative]
 
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    def test_learning_rate_validation(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_too_few_classes_rejected(self):
         ds = small_dataset()
         cfg = TrainConfig(classes_per_batch=5, embed_dim=4,
