@@ -44,6 +44,7 @@ from .mining import (
     MinedTriplet,
     MiningStrategy,
     NoNegativesError,
+    Triplets,
     hard_fraction,
     is_hard,
     mine,

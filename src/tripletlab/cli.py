@@ -9,7 +9,7 @@ manifest and verifies the checksums still match.
 
 Exit codes: 0 success; 1 any invalid flag value, including seed and class
 count; 2 an unreadable, malformed or non-finite input file or manifest;
-3 degenerate vectors. A refused run writes no manifest.
+3 degenerate vectors, and divergence. A refused run writes no manifest.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def run_diagram(cfg: dict, arts: _Artifacts) -> str:
             raise DegenerateVectorError("dataset contains a zero vector")
         feats = dataset.points / norms
     triplets = diagram_extract(Batch(embeddings=feats, labels=dataset.labels))
-    hard = [is_hard(t.coord) for t in triplets]
+    hard = is_hard(triplets).tolist()
     arts.csv(
         "diagram_csv", ".diagram.csv",
         ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
@@ -298,6 +298,15 @@ def _execute(commands: dict, command: str, cfg: dict, ctx: PathContext):
     arts.manifest(command, cfg, run(cfg, arts))
 
 
+def _flag_accepts(action: argparse.Action, value) -> bool:
+    """Whether a manifest value is one the flag's parser could produce."""
+    if value is None:
+        return action.default is None and not action.required
+    kinds = {int: int, float: (int, float)}.get(action.type, str)
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (action.choices is None or value in action.choices))
+
+
 def run_rerun(manifest_name: str, ctx: PathContext, commands: dict) -> int:
     manifest_path = ctx.in_base / manifest_name
     try:
@@ -307,9 +316,14 @@ def run_rerun(manifest_name: str, ctx: PathContext, commands: dict) -> int:
         recorded = dict(manifest["checksums"])
         if command not in commands:
             raise ValueError(f"unknown command {command!r}")
-        if set(cfg) != set(commands[command].config_keys):
+        flags = commands[command].flags
+        if set(cfg) != set(flags):
             raise ValueError(f"config keys {sorted(cfg)} do not match "
                              f"{command}'s flags")
+        for key, value in cfg.items():
+            if not _flag_accepts(flags[key], value):
+                raise ValueError(f"config {key}={value!r} is not a valid "
+                                 f"{flags[key].option_strings[0]} value")
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetParseError(
             f"{manifest_path}: malformed manifest ({exc})"
@@ -335,21 +349,22 @@ def run_rerun(manifest_name: str, ctx: PathContext, commands: dict) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse with the package's exit-code contract (usage errors: 1).
 
-    ``config_keys`` lists the destinations of the flags added to this
-    parser, in order: a command's manifest config is exactly these keys.
+    ``flags`` maps the destination of each flag added to this parser to
+    its action, in order: a command's manifest config is exactly these
+    keys.
     ``commands`` maps each command that writes a manifest to its parser,
     whose default ``run`` is the function that executes it.
     """
 
     def __init__(self, *args, **kwargs):
-        self.config_keys: list[str] = []
+        self.flags: dict[str, argparse.Action] = {}
         self.commands: dict[str, _Parser] = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.dest != "help":
-            self.config_keys.append(action.dest)
+            self.flags[action.dest] = action
         return action
 
     def error(self, message):
@@ -449,7 +464,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return run_rerun(args.manifest, ctx, parser.commands)
-        keys = parser.commands[args.command].config_keys
+        keys = parser.commands[args.command].flags
         cfg = {key: getattr(args, key) for key in keys}
         _execute(parser.commands, args.command, cfg, ctx)
         return EXIT_OK
@@ -458,8 +473,8 @@ def main(argv=None) -> int:
     except (DegenerateVectorError, UndefinedGammaError) as exc:
         kind, code, error = "numeric", EXIT_NUMERIC, exc
     except ValueError as exc:
-        # every other refusal is an invalid flag value: bounds, seed,
-        # class count, and divergence under too large a learning rate
+        # every other refusal is an invalid flag value: bounds, seed and
+        # class count
         kind, code, error = "usage", EXIT_USAGE, exc
     print(f"tripletlab: {kind} error: {error}", file=sys.stderr)
     return code

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord
-from .mining import Batch, MinedTriplet, similarity_matrix
+from .mining import (Batch, MiningStrategy, NoNegativesError, Triplets,
+                     mine, similarity_matrix)
 
 
 class RetrievalResult(NamedTuple):
@@ -61,29 +61,16 @@ def collapse_metric(batch: Batch) -> float:
     return float((sims.sum() - np.trace(sims)) / (n * (n - 1)))
 
 
-def diagram_extract(batch: Batch) -> list[MinedTriplet]:
+def diagram_extract(batch: Batch) -> Triplets:
     """Easiest-positive / hardest-negative diagram point for every item.
 
     For each item: s_ap is the maximum same-class similarity (self
     excluded) and s_an the maximum different-class similarity. Items whose
     class has no second member, or with no different-class item at all,
-    are skipped.
+    are skipped. These are the ephn miner's triplets, which draw nothing
+    at random.
     """
-    sims = similarity_matrix(batch)
-    labels = batch.labels
-    out: list[MinedTriplet] = []
-    for i in range(len(batch)):
-        same = labels == labels[i]
-        pos_idx = np.flatnonzero(same)
-        pos_idx = pos_idx[pos_idx != i]
-        neg_idx = np.flatnonzero(~same)
-        if pos_idx.size == 0 or neg_idx.size == 0:
-            continue
-        p = int(pos_idx[np.argmax(sims[i, pos_idx])])
-        n = int(neg_idx[np.argmax(sims[i, neg_idx])])
-        out.append(
-            MinedTriplet(
-                i, p, n, TripletCoord(float(sims[i, p]), float(sims[i, n]))
-            )
-        )
-    return out
+    try:
+        return mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, seed=0)
+    except NoNegativesError:  # a single class: no item has a negative
+        return Triplets.of([])

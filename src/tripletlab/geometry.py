@@ -86,10 +86,6 @@ class TripletFeatures:
             if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
                 raise ValueError(f"{name} is not a unit vector")
 
-    @property
-    def dim(self) -> int:
-        return self.anchor.shape[0]
-
 
 def coord_of(t: TripletFeatures) -> TripletCoord:
     """Diagram coordinates (s_ap, s_an) of a triplet."""

@@ -11,17 +11,22 @@ Gradients come in two flavors: with respect to the diagram coordinates
 (CoordGrad) and with respect to the raw feature vectors (FeatureGrads).
 The learning rate is deliberately NOT folded in here; dynamics and the
 trainer apply their own step sizes to the same gradient code.
+
+``loss_values``, ``coord_grads`` and ``batch_feature_grads`` evaluate a
+whole batch of triplets, and ``is_hard`` and ``hinge_argument`` work
+elementwise; the single-triplet functions call into them. Only
+``softmax_weight`` stays scalar, for the dynamics' per-step speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord, TripletFeatures, coord_of
+from .geometry import TripletCoord, TripletFeatures
 
 
 class LossKind(str, Enum):
@@ -57,6 +62,11 @@ class LossSpec:
         if self.base == LossKind.SCT:
             raise ValueError("base loss must be nca or margin")
 
+    @property
+    def easy_kind(self) -> LossKind:
+        """The loss outside the selective hard branch."""
+        return self.base if self.kind == LossKind.SCT else self.kind
+
 
 class CoordGrad(NamedTuple):
     d_sap: float
@@ -83,11 +93,6 @@ def softmax_weight(coord: TripletCoord) -> float:
     return e / (1.0 + e)
 
 
-def nca_loss(coord: TripletCoord) -> float:
-    """Softmax-ratio loss, always positive."""
-    return float(np.logaddexp(0.0, coord.s_an - coord.s_ap))
-
-
 def hinge_argument(coord: TripletCoord, margin: float) -> float:
     """Squared-distance hinge argument on the unit sphere.
 
@@ -97,49 +102,92 @@ def hinge_argument(coord: TripletCoord, margin: float) -> float:
     return 2.0 * (coord.s_an - coord.s_ap) + margin
 
 
-def margin_loss(coord: TripletCoord, margin: float) -> float:
-    """Hinged squared-distance triplet loss."""
-    return max(hinge_argument(coord, margin), 0.0)
-
-
 def is_hard(coord: TripletCoord) -> bool:
-    """True iff the negative ranks above the positive (strict s_an > s_ap)."""
+    """True iff the negative ranks above the positive (strict s_an > s_ap);
+    elementwise over coordinate arrays."""
     return coord.s_an > coord.s_ap
 
 
-def sct_loss(coord: TripletCoord, spec: LossSpec) -> float:
-    """Selectively contrastive loss: lam*s_an when hard, base loss otherwise."""
-    if is_hard(coord):
-        return spec.lam * coord.s_an
-    if spec.base == LossKind.MARGIN:
-        return margin_loss(coord, spec.margin)
-    return nca_loss(coord)
+def loss_values(coords, spec: LossSpec) -> np.ndarray:
+    """Loss of every diagram point of coords (s_ap and s_an arrays, such
+    as a mined Triplets), elementwise."""
+    if spec.easy_kind == LossKind.MARGIN:
+        values = np.maximum(hinge_argument(coords, spec.margin), 0.0)
+    else:
+        values = np.logaddexp(0.0, coords.s_an - coords.s_ap)
+    if spec.kind == LossKind.SCT:
+        values = np.where(is_hard(coords), spec.lam * coords.s_an, values)
+    return values
 
 
 def loss_value(coord: TripletCoord, spec: LossSpec) -> float:
     """Evaluate whichever loss the spec selects."""
-    if spec.kind == LossKind.NCA:
-        return nca_loss(coord)
-    if spec.kind == LossKind.MARGIN:
-        return margin_loss(coord, spec.margin)
-    return sct_loss(coord, spec)
+    return float(loss_values(coord, spec))
 
 
-def coord_grad(coord: TripletCoord, spec: LossSpec) -> CoordGrad:
-    """Gradient of the selected loss with respect to (s_ap, s_an).
+def nca_loss(coord: TripletCoord) -> float:
+    """Softmax-ratio loss, always positive."""
+    return loss_value(coord, LossSpec(kind=LossKind.NCA))
+
+
+def margin_loss(coord: TripletCoord, margin: float) -> float:
+    """Hinged squared-distance triplet loss."""
+    return loss_value(coord, LossSpec(kind=LossKind.MARGIN, margin=margin))
+
+
+def sct_loss(coord: TripletCoord, spec: LossSpec) -> float:
+    """Selective loss: lam*s_an when hard, the base loss otherwise."""
+    return loss_value(coord, replace(spec, kind=LossKind.SCT))
+
+
+def coord_grads(coords, spec: LossSpec) -> CoordGrad:
+    """Gradient of the selected loss with respect to (s_ap, s_an),
+    elementwise over coordinate arrays.
 
     The margin hinge uses the inactive-side subgradient (zero) exactly at
     the boundary. The selective loss's hard branch reads off s_an only.
     """
-    if spec.kind == LossKind.SCT and is_hard(coord):
-        return CoordGrad(0.0, spec.lam)
-    kind = spec.base if spec.kind == LossKind.SCT else spec.kind
-    if kind == LossKind.MARGIN:
-        if hinge_argument(coord, spec.margin) > 0.0:
-            return CoordGrad(-2.0, 2.0)
-        return CoordGrad(0.0, 0.0)
-    sigma = softmax_weight(coord)
-    return CoordGrad(-sigma, sigma)
+    if spec.easy_kind == LossKind.MARGIN:
+        d = np.where(hinge_argument(coords, spec.margin) > 0.0, 2.0, 0.0)
+    else:
+        x = coords.s_an - coords.s_ap  # softmax_weight's two branches
+        e = np.exp(x)
+        d = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), e / (1.0 + e))
+    if spec.kind != LossKind.SCT:
+        return CoordGrad(0.0 - d, d)
+    hard = is_hard(coords)
+    return CoordGrad(np.where(hard, 0.0, 0.0 - d), np.where(hard, spec.lam, d))
+
+
+def coord_grad(coord: TripletCoord, spec: LossSpec) -> CoordGrad:
+    """coord_grads of one diagram point."""
+    return CoordGrad(*map(float, coord_grads(coord, spec)))
+
+
+def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cosine: a stacked matmul keeps np.dot's bits, einsum not."""
+    return np.clip((u[:, None, :] @ v[:, :, None])[:, 0, 0], -1.0, 1.0)
+
+
+def batch_feature_grads(
+    f_a: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, spec: LossSpec
+) -> FeatureGrads:
+    """feature_grads of k triplets at once, from (k, d) rows of unit
+    anchor, positive and negative vectors; returns (k, d) rows."""
+    coords = TripletCoord(_cosines(f_a, f_p), _cosines(f_a, f_n))
+    d_sap, d_san = (d[:, None] for d in coord_grads(coords, spec))
+    if spec.easy_kind == LossKind.MARGIN:
+        # squared distances: ||f_a - f_p||^2 pulls f_p along f_a - f_p
+        g_p, g_n = d_sap * (f_a - f_p), d_san * (f_a - f_n)
+    else:
+        g_p, g_n = d_sap * f_a, d_san * f_a
+    g_a = d_san * (f_n - f_p)
+    if spec.kind == LossKind.SCT:
+        hard = is_hard(coords)[:, None]
+        g_a_hard = spec.lam * f_n if spec.sct_moves_anchor else 0.0
+        g_a = np.where(hard, g_a_hard, g_a)
+        g_n = np.where(hard, spec.lam * f_a, g_n)
+    return FeatureGrads(g_a=g_a, g_p=g_p, g_n=g_n)
 
 
 def feature_grads(t: TripletFeatures, spec: LossSpec) -> FeatureGrads:
@@ -152,23 +200,7 @@ def feature_grads(t: TripletFeatures, spec: LossSpec) -> FeatureGrads:
     directly: g_n = lam*f_a, g_a = lam*f_n (or zero if the anchor is
     frozen), g_p = 0.
     """
-    coord = coord_of(t)
-    zero = np.zeros(t.dim)
-    if spec.kind == LossKind.SCT and is_hard(coord):
-        g_a = spec.lam * t.negative if spec.sct_moves_anchor else zero
-        return FeatureGrads(g_a=g_a, g_p=zero, g_n=spec.lam * t.anchor)
-    kind = spec.base if spec.kind == LossKind.SCT else spec.kind
-    if kind == LossKind.MARGIN:
-        if hinge_argument(coord, spec.margin) > 0.0:
-            return FeatureGrads(
-                g_a=2.0 * (t.negative - t.positive),
-                g_p=-2.0 * (t.anchor - t.positive),
-                g_n=2.0 * (t.anchor - t.negative),
-            )
-        return FeatureGrads(g_a=zero, g_p=zero, g_n=zero)
-    sigma = softmax_weight(coord)
-    return FeatureGrads(
-        g_a=sigma * (t.negative - t.positive),
-        g_p=-sigma * t.anchor,
-        g_n=sigma * t.anchor,
+    rows = batch_feature_grads(
+        t.anchor[None], t.positive[None], t.negative[None], spec
     )
+    return FeatureGrads(*(g[0] for g in rows))

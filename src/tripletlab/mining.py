@@ -2,16 +2,19 @@
 
 A batch is a set of unit embeddings with class labels. Each strategy emits
 one triplet per eligible anchor (an anchor is eligible when its class has a
-second member; singleton-class anchors are skipped). Ties are always broken
-toward the lowest index, and any randomness is driven by the caller's seed,
-so mining is a pure function of (batch, strategy, seed).
+second member; singleton-class anchors are skipped). Selection is a masked
+argmax (or argmin) over label-masked rows of the batch similarity matrix,
+so ties are always broken toward the lowest index. Random picks come from
+the caller's seed: one uniform draw per eligible anchor and random role,
+in anchor order, with the positive drawn before the negative under
+``random``. Mining is a pure function of (batch, strategy, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,11 +26,16 @@ __all__ = [
     "MinedTriplet",
     "MiningStrategy",
     "NoNegativesError",
+    "Triplets",
     "hard_fraction",
     "is_hard",
     "mine",
     "similarity_matrix",
 ]
+
+# anchor rows per masked pass: temporaries stay _BLOCK_ROWS x n, so a
+# large batch never holds a second n x n array next to its similarities
+_BLOCK_ROWS = 256
 
 
 class NoNegativesError(ValueError):
@@ -51,7 +59,7 @@ class Batch:
         if emb.shape[0] < 2:
             raise ValueError("a batch needs at least 2 items")
         norms = np.linalg.norm(emb, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails too
             raise ValueError("batch embeddings must be unit vectors")
 
     def __len__(self) -> int:
@@ -73,18 +81,67 @@ class MinedTriplet(NamedTuple):
     coord: TripletCoord
 
 
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """Mined triplets as a struct of arrays, one entry per triplet.
+
+    Iterating yields MinedTriplet rows of Python ints and floats, and
+    triplets compare equal to any sequence of equal rows.
+    """
+
+    anchor: np.ndarray  # (k,) int64 rows
+    positive: np.ndarray
+    negative: np.ndarray
+    s_ap: np.ndarray  # (k,) float64
+    s_an: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Iterable[MinedTriplet]) -> Triplets:
+        """The arrays of a sequence of rows; a Triplets is returned as is."""
+        if isinstance(rows, Triplets):
+            return rows
+        rows = list(rows)
+        idx = np.array([r[:3] for r in rows], dtype=np.int64).reshape(-1, 3)
+        coords = np.array([r.coord for r in rows], dtype=np.float64)
+        return cls(*idx.T, *coords.reshape(-1, 2).T)
+
+    def remap(self, rows: np.ndarray) -> Triplets:
+        """The same triplets with every index i replaced by rows[i]."""
+        return Triplets(rows[self.anchor], rows[self.positive],
+                        rows[self.negative], self.s_ap, self.s_an)
+
+    def __len__(self) -> int:
+        return self.anchor.shape[0]
+
+    def __iter__(self) -> Iterator[MinedTriplet]:
+        columns = (self.anchor, self.positive, self.negative, self.s_ap,
+                   self.s_an)
+        for a, p, n, s_ap, s_an in zip(*(c.tolist() for c in columns)):
+            yield MinedTriplet(a, p, n, TripletCoord(s_ap, s_an))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Triplets, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def similarity_matrix(batch: Batch) -> np.ndarray:
     """Pairwise cosine matrix, clamped to [-1, 1]."""
-    return np.clip(batch.embeddings @ batch.embeddings.T, -1.0, 1.0)
+    sims = batch.embeddings @ batch.embeddings.T
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def _coord(sims: np.ndarray, a: int, p: int, n: int) -> TripletCoord:
-    return TripletCoord(float(sims[a, p]), float(sims[a, n]))
+def _argmax_where(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Column of each row's largest value under mask (lowest on ties)."""
+    return np.where(mask, values, -np.inf).argmax(axis=1)
 
 
-def mine(
-    batch: Batch, strategy: MiningStrategy, seed: int
-) -> list[MinedTriplet]:
+def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column of each row's k-th (0-based) True entry."""
+    return (np.cumsum(mask, axis=1) > k[:, None]).argmax(axis=1)
+
+
+def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     """Select one triplet per eligible anchor.
 
     hn   : most similar different-class negative, random positive
@@ -92,54 +149,62 @@ def mine(
            similarity; falls back to the least similar negative when no
            candidate qualifies
     ep   : most similar positive, random negative
-    ephn : most similar positive and most similar negative
+    ephn : most similar positive and most similar negative (no draws)
     random: seeded-uniform positive and negative
 
-    argmax/argmin resolve ties at the lowest index. Raises
-    NoNegativesError when the batch holds a single class.
+    Raises NoNegativesError when the batch holds a single class.
     """
+    strategy = MiningStrategy(strategy)
     labels = batch.labels
-    if len(np.unique(labels)) < 2:
+    classes, class_of, sizes = np.unique(
+        labels, return_inverse=True, return_counts=True
+    )
+    if classes.size < 2:
         raise NoNegativesError("batch contains a single class; no negatives")
     sims = similarity_matrix(batch)
-    rng = np.random.default_rng(seed)
-    triplets: list[MinedTriplet] = []
-    n_items = len(batch)
-    for a in range(n_items):
-        same = labels == labels[a]
-        pos_idx = np.flatnonzero(same)
-        pos_idx = pos_idx[pos_idx != a]
-        if pos_idx.size == 0:
-            continue  # singleton class: nothing to anchor against
-        neg_idx = np.flatnonzero(~same)
-        row = sims[a]
-        if strategy == MiningStrategy.RANDOM:
-            p = int(rng.choice(pos_idx))
-            n = int(rng.choice(neg_idx))
-        elif strategy == MiningStrategy.HARD_NEGATIVE:
-            p = int(rng.choice(pos_idx))
-            n = int(neg_idx[np.argmax(row[neg_idx])])
-        elif strategy == MiningStrategy.SEMI_HARD_NEGATIVE:
-            p = int(rng.choice(pos_idx))
-            feasible = neg_idx[row[neg_idx] < row[p]]
-            if feasible.size > 0:
-                n = int(feasible[np.argmax(row[feasible])])
-            else:
-                n = int(neg_idx[np.argmin(row[neg_idx])])
-        elif strategy == MiningStrategy.EASY_POSITIVE:
-            p = int(pos_idx[np.argmax(row[pos_idx])])
-            n = int(rng.choice(neg_idx))
-        elif strategy == MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE:
-            p = int(pos_idx[np.argmax(row[pos_idx])])
-            n = int(neg_idx[np.argmax(row[neg_idx])])
+    size = sizes[class_of]
+    anchors = np.flatnonzero(size > 1)  # singleton classes anchor nothing
+    random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
+                                MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE)
+    random_n = strategy in (MiningStrategy.RANDOM,
+                            MiningStrategy.EASY_POSITIVE)
+    counts = (([size[anchors] - 1] if random_p else [])
+              + ([len(batch) - size[anchors]] if random_n else []))
+    if counts:  # a row per anchor: the positive's draw, then the negative's
+        draws = np.random.default_rng(seed).integers(
+            0, np.column_stack(counts)
+        )
+    positive = np.empty_like(anchors)
+    negative = np.empty_like(anchors)
+    for lo in range(0, anchors.size, _BLOCK_ROWS):
+        part = slice(lo, lo + _BLOCK_ROWS)
+        rows = anchors[part]
+        row_sims = sims[rows]
+        neg = labels[rows, None] != labels
+        pos = ~neg
+        pos[np.arange(rows.size), rows] = False
+        if random_p:
+            p = _nth(pos, draws[part, 0])
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        triplets.append(MinedTriplet(a, p, n, _coord(sims, a, p, n)))
-    return triplets
+            p = _argmax_where(row_sims, pos)
+        if random_n:
+            n = _nth(neg, draws[part, -1])
+        elif strategy == MiningStrategy.SEMI_HARD_NEGATIVE:
+            s_ap = row_sims[np.arange(rows.size), p]
+            feasible = neg & (row_sims < s_ap[:, None])
+            n = np.where(feasible.any(axis=1),
+                         _argmax_where(row_sims, feasible),
+                         _argmax_where(-row_sims, neg))
+        else:
+            n = _argmax_where(row_sims, neg)
+        positive[part], negative[part] = p, n
+    return Triplets(anchors, positive, negative,
+                    sims[anchors, positive], sims[anchors, negative])
 
 
-def hard_fraction(triplets: Sequence[MinedTriplet]) -> float:
+def hard_fraction(triplets: Iterable[MinedTriplet]) -> float:
     """Fraction of triplets whose negative outranks the positive."""
+    triplets = Triplets.of(triplets)
     if len(triplets) == 0:
         raise ValueError("hard_fraction of an empty triplet list")
-    return sum(is_hard(t.coord) for t in triplets) / len(triplets)
+    return int(np.count_nonzero(is_hard(triplets))) / len(triplets)

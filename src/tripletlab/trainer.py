@@ -27,9 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .evaluation import collapse_metric, recall_at_k
-from .geometry import DegenerateVectorError, TripletFeatures, normalize
-from .losses import LossSpec, feature_grads, is_hard, loss_value
-from .mining import Batch, MinedTriplet, MiningStrategy, mine
+from .geometry import DegenerateVectorError, normalize
+from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
+from .mining import Batch, MinedTriplet, MiningStrategy, Triplets, mine
 from .synthdata import LabeledDataset
 
 _SEED_MAX = 2**63 - 1
@@ -100,7 +100,7 @@ class EpochLog:
     hard_fraction: float
     recall_at_1: float
     collapse: float
-    snapshot: list[MinedTriplet] | None = None
+    snapshot: Triplets | None = None
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -109,9 +109,18 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def embed(params: ModelParams, xs: np.ndarray) -> np.ndarray:
-    """Embed rows of xs onto the unit sphere."""
+    """Embed rows of xs onto the unit sphere.
+
+    A zero or non-finite norm raises DegenerateVectorError; the latter is
+    where a run diverging under too large a learning rate first shows.
+    """
     z = np.asarray(xs, dtype=np.float64) @ params.weight
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise DegenerateVectorError(
+            "embedding norm is not finite: training diverged"
+        )
     if np.any(norms <= 1e-12):
         raise DegenerateVectorError("embedding collapsed to a zero vector")
     return z / norms
@@ -127,34 +136,31 @@ def init_params(input_dim: int, embed_dim: int, seed: int) -> ModelParams:
 def backward(
     params: ModelParams,
     inputs: np.ndarray,
-    triplets: list[MinedTriplet],
+    triplets: Triplets | list[MinedTriplet],
     loss: LossSpec,
     grad_mode: GradMode,
 ) -> np.ndarray:
     """Gradient of the mean triplet loss with respect to the weights.
 
     Triplet indices refer to rows of inputs. Per-feature gradients from
-    the loss are accumulated per row, optionally pushed through the
-    normalization Jacobian, then chained through the linear map.
+    one batched loss evaluation are summed per row in triplet order
+    (anchor, positive, negative, then the next triplet), optionally pushed
+    through the normalization Jacobian, then chained through the linear map.
     """
-    if not triplets:
+    t = Triplets.of(triplets)
+    if not t:
         return np.zeros_like(params.weight)
     xs = np.asarray(inputs, dtype=np.float64)
     z = xs @ params.weight
     z_norms = np.linalg.norm(z, axis=1)
     feats = z / z_norms[:, None]
+    grads = batch_feature_grads(
+        feats[t.anchor], feats[t.positive], feats[t.negative], loss
+    )
+    rows = np.column_stack([t.anchor, t.positive, t.negative]).ravel()
     grad_feat = np.zeros_like(feats)
-    scale = 1.0 / len(triplets)
-    for t in triplets:
-        view = TripletFeatures(
-            anchor=feats[t.anchor],
-            positive=feats[t.positive],
-            negative=feats[t.negative],
-        )
-        g = feature_grads(view, loss)
-        grad_feat[t.anchor] += scale * g.g_a
-        grad_feat[t.positive] += scale * g.g_p
-        grad_feat[t.negative] += scale * g.g_n
+    np.add.at(grad_feat, rows, (1.0 / len(t))
+              * np.stack(grads, axis=1).reshape(rows.size, -1))
     if grad_mode == GradMode.THROUGH_NORMALIZATION:
         radial = np.sum(grad_feat * feats, axis=1, keepdims=True)
         grad_z = (grad_feat - feats * radial) / z_norms[:, None]
@@ -186,6 +192,7 @@ def train(
     recall@1 (self excluded) and mean off-diagonal similarity over the
     full dataset embedding. Every snapshot_every epochs the log keeps the
     last batch's mined triplets with indices remapped to dataset rows.
+    Raises DegenerateVectorError when training diverges.
     """
     classes = np.unique(dataset.labels)
     if classes.size < config.classes_per_batch:
@@ -207,10 +214,8 @@ def train(
     )
     logs: list[EpochLog] = []
     for epoch in range(config.epochs):
-        losses: list[float] = []
-        hard = 0
-        total = 0
-        last_snapshot: list[MinedTriplet] | None = None
+        # two members of each drawn class: every item anchors a triplet
+        losses, hard = [], []
         for _ in range(batches):
             idx = _sample_batch(rng, members, config.classes_per_batch)
             xs = dataset.points[idx]
@@ -219,36 +224,25 @@ def train(
             mined = mine(
                 batch, config.strategy, seed=int(rng.integers(_SEED_MAX))
             )
-            if not mined:
-                continue
-            losses.extend(loss_value(t.coord, config.loss) for t in mined)
-            hard += sum(t.coord.s_an > t.coord.s_ap for t in mined)
-            total += len(mined)
+            losses.append(loss_values(mined, config.loss))
+            hard.append(is_hard(mined))
             grad = backward(params, xs, mined, config.loss, config.grad_mode)
             params = ModelParams(
                 weight=params.weight - config.learning_rate * grad
             )
-            last_snapshot = [
-                MinedTriplet(
-                    int(idx[t.anchor]),
-                    int(idx[t.positive]),
-                    int(idx[t.negative]),
-                    t.coord,
-                )
-                for t in mined
-            ]
         all_feats = embed(params, dataset.points)
         full = Batch(embeddings=all_feats, labels=dataset.labels)
         result = recall_at_k(full, full, k=1, exclude_self=True)
         logs.append(
             EpochLog(
                 epoch=epoch,
-                mean_loss=float(np.mean(losses)) if losses else 0.0,
-                hard_fraction=hard / total if total else 0.0,
+                mean_loss=float(np.mean(np.concatenate(losses))),
+                hard_fraction=float(np.mean(np.concatenate(hard))),
                 recall_at_1=result.recall,
                 collapse=collapse_metric(full),
                 snapshot=(
-                    last_snapshot if epoch % config.snapshot_every == 0 else None
+                    mined.remap(idx)  # the last batch, in dataset rows
+                    if epoch % config.snapshot_every == 0 else None
                 ),
             )
         )

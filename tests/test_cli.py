@@ -263,9 +263,8 @@ def _train(data, *flags):
     pytest.param(_train("{d}/data.csv", "--classes-per-batch", "8"), 1,
                  id="classes-per-batch above class count"),
     pytest.param(_train("{d}/data.csv", "--lr", "nan"), 1, id="lr nan"),
-    pytest.param(_train("{d}/data.csv", "--lr", "1e200"), 1,
-                 id="divergence", marks=pytest.mark.filterwarnings(
-                     "ignore:overflow:RuntimeWarning")),
+    pytest.param(_train("{d}/data.csv", "--lr", "1e200"), 3,
+                 id="divergence"),
     pytest.param(gen_args(out="n.csv", spread="nan"), 1, id="spread nan"),
     pytest.param(["simulate", "--gamma", "nan", "--out-prefix", "f"], 1,
                  id="gamma nan"),
@@ -280,6 +279,8 @@ def _train(data, *flags):
                   "--out-prefix", "d"], 2, id="nan dataset diagram"),
     pytest.param(_train("{d}/nan_data.csv"), 2, id="nan dataset train"),
     pytest.param(["rerun", "{d}/bad.manifest.json"], 2, id="bad manifest"),
+    pytest.param(["rerun", "{d}/typed.manifest.json"], 2,
+                 id="manifest value type"),
 ])
 def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     """Inputs that once escaped as tracebacks or exited 0 with NaN
@@ -295,6 +296,9 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     (outdir / "bad.manifest.json").write_text(json.dumps(
         {"command": "train", "config": {}, "checksums": {}}
     ))
+    typed = json.loads((outdir / "data.manifest.json").read_text())
+    typed["config"]["classes"] = "4"
+    (outdir / "typed.manifest.json").write_text(json.dumps(typed))
     before = sorted(outdir.rglob("*"))
     capsys.readouterr()
     assert main([arg.format(d=outdir) for arg in argv]) == code

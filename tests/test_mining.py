@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripletlab.evaluation import diagram_extract
 from tripletlab.geometry import TripletCoord
 from tripletlab.mining import (
     Batch,
+    MinedTriplet,
     MiningStrategy,
     NoNegativesError,
     hard_fraction,
@@ -68,6 +72,47 @@ def brute_force_mine(batch, strategy, seed):
             n = best(neg, lambda j: sims[a, j], reverse=True)
         out.append((a, p, n))
     return out
+
+
+def brute_force_diagram(batch):
+    """Easiest positive and hardest negative of every item, by double loop."""
+    sims = np.clip(batch.embeddings @ batch.embeddings.T, -1, 1)
+    out = []
+    for i in range(len(batch)):
+        p = n = None
+        for j in range(len(batch)):
+            if j == i:
+                continue
+            if batch.labels[j] == batch.labels[i]:
+                if p is None or sims[i, j] > sims[i, p]:
+                    p = j
+            elif n is None or sims[i, j] > sims[i, n]:
+                n = j
+        if p is not None and n is not None:
+            coord = TripletCoord(float(sims[i, p]), float(sims[i, n]))
+            out.append(MinedTriplet(i, p, n, coord))
+    return out
+
+
+@st.composite
+def tied_batches(draw):
+    """2-40 rows with 1-6 labels. Components are small integers, so rows
+    repeat and distinct rows share similarities: ties are exact."""
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(2, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    rows = draw(st.lists(vector.filter(any), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 5))),
+                           min_size=n, max_size=n))
+    emb = np.array(rows, dtype=np.float64)
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return Batch(embeddings=emb, labels=labels)
+
+
+class TestBatch:
+    def test_nan_embedding_rejected(self):
+        with pytest.raises(ValueError, match="unit vectors"):
+            Batch(embeddings=[[np.nan, 0.0], [1.0, 0.0]], labels=[0, 1])
 
 
 class TestSimilarityMatrix:
@@ -180,6 +225,25 @@ class TestMine:
         for t in mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, 0):
             assert t.coord.s_ap == sims[t.anchor, t.positive]
             assert t.coord.s_an == sims[t.anchor, t.negative]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batch=tied_batches(), seed=st.integers(0, 2**32 - 1))
+def test_mining_and_diagram_match_brute_force_with_ties(batch, seed):
+    """Random batches with singleton classes and exact ties: every miner
+    matches brute_force_mine, diagram_extract matches a double loop, and a
+    single-class batch has no negatives."""
+    if len(np.unique(batch.labels)) < 2:
+        for strategy in MiningStrategy:
+            with pytest.raises(NoNegativesError):
+                mine(batch, strategy, seed)
+        assert len(diagram_extract(batch)) == 0
+        return
+    for strategy in MiningStrategy:
+        got = [(t.anchor, t.positive, t.negative)
+               for t in mine(batch, strategy, seed)]
+        assert got == brute_force_mine(batch, strategy, seed)
+    assert diagram_extract(batch) == brute_force_diagram(batch)
 
 
 class TestHardPredicate:
