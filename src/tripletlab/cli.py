@@ -188,14 +188,12 @@ def run_simulate(cfg: dict, arts: _Artifacts) -> str:
 def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
     params = _step_params(cfg)
     start = TripletCoord(cfg["start_sap"], cfg["start_san"])
-    if not all(-1 <= c <= 1 for c in start):
-        raise ValueError("trajectory start must lie in [-1, 1]^2")
     points = trajectory(start, params, cfg["steps"])
-    updates = (step(pt, params) for pt in points)
+    upd = step(TripletCoord(*np.array(points).T), params)
     arts.csv("trajectory_csv", ".trajectory.csv",
              ["s_ap", "s_an", "d_sap", "d_san"],
-             ([*pt, u.d_sap_total, u.d_san_total]
-              for pt, u in zip(points, updates)))
+             ([*pt, d_sap, d_san] for pt, d_sap, d_san
+              in zip(points, upd.d_sap_total, upd.d_san_total)))
     arts.text(
         "trajectory_svg", ".trajectory.svg",
         trajectory_path(
@@ -474,8 +472,11 @@ def main(argv=None) -> int:
         kind, code, error = "numeric", EXIT_NUMERIC, exc
     except ValueError as exc:
         # every other refusal is an invalid flag value: bounds, seed and
-        # class count
+        # class count; under rerun, the manifest recorded that value
         kind, code, error = "usage", EXIT_USAGE, exc
+        if args.command == "rerun":
+            kind, code = "data", EXIT_DATA
+            error = f"{args.manifest}: malformed manifest ({exc})"
     print(f"tripletlab: {kind} error: {error}", file=sys.stderr)
     return code
 

@@ -21,15 +21,17 @@ so the post-renormalization similarity deltas are
     d_san = s_an' / (||a'|| ||n'||) - s_an.
 
 The margin hinge has the analogous forms (beta enters the p' and n'
-mixing coefficients as well) and is inert when the hinge argument is
-non-positive. A scalar entanglement model couples the two deltas through
-shared network weights:
+mixing coefficients as well) with beta = 0, no motion, where the hinge
+argument is non-positive. A scalar entanglement model couples the two
+deltas through shared network weights:
 
     d_sap_total = d_sap + p * q * d_san,   q = s_ap * s_an
     d_san_total = d_san + p * q * d_sap.
 
-Everything in this module is validated against an explicit 3D vector
-oracle in the tests; the closed forms are exact, not approximations.
+The steps are elementwise: one code path serves a diagram point of floats
+and arrays of points, with the same bits. Everything in this module is
+validated against an explicit 3D vector oracle in the tests; the closed
+forms are exact, not approximations.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class StepParams:
 
 
 class SimilarityUpdate(NamedTuple):
-    """Everything one closed-form step produces for a single diagram point."""
+    """Everything one closed-form step produces for a diagram point, or
+    elementwise for arrays of them."""
 
     s_ap_new: float  # pre-normalization dot product a'.p'
     s_an_new: float  # pre-normalization dot product a'.n'
@@ -82,118 +85,69 @@ class SimilarityUpdate(NamedTuple):
     d_san_total: float
 
 
-def _identity_update(coord: TripletCoord) -> SimilarityUpdate:
-    return SimilarityUpdate(
-        s_ap_new=coord.s_ap,
-        s_an_new=coord.s_an,
-        norm_a=1.0,
-        norm_p=1.0,
-        norm_n=1.0,
-        d_sap=0.0,
-        d_san=0.0,
-        d_sap_total=0.0,
-        d_san_total=0.0,
-    )
-
-
-def _anchor_norm(s_ap: float, s_an: float, gamma: float, beta: float) -> float:
-    rad_ap = np.sqrt(max(1.0 - s_ap * s_ap, 0.0))
-    rad_an = np.sqrt(max(1.0 - s_an * s_an, 0.0))
-    rad_g = np.sqrt(max(1.0 - gamma * gamma, 0.0))
-    in_plane = 1.0 + beta * s_ap - beta * s_an
-    tangent = beta * rad_ap - gamma * beta * rad_an
-    off_plane = beta * rad_g * rad_an
-    return float(
-        np.sqrt(in_plane**2 + tangent**2 + off_plane**2)
-    )
-
-
-def _finish(
-    coord: TripletCoord,
-    params: StepParams,
-    s_ap_new: float,
-    s_an_new: float,
-    norm_a: float,
-    norm_p: float,
-    norm_n: float,
+def _closed_form(
+    coord: TripletCoord, params: StepParams, beta: float, shrink: float
 ) -> SimilarityUpdate:
-    d_sap = s_ap_new / (norm_a * norm_p) - coord.s_ap
-    d_san = s_an_new / (norm_a * norm_n) - coord.s_an
-    q = coord.s_ap * coord.s_an
-    pq = params.entanglement_p * q
+    """The step that moves the features by
+
+        p' = (1 - shrink b) p + b a,   n' = (1 + shrink b) n - b a,
+        a' = a + b (p - n),
+
+    with shrink 0 for the softmax loss and 1 for the margin hinge, whose
+    squared-distance gradients carry p and n themselves as well as a.
+    beta = 0 leaves the point where it is.
+    """
+    s_ap, s_an = coord
+    gamma = params.gamma
+    keep_p = 1.0 - shrink * beta
+    keep_n = 1.0 + shrink * beta
+    b2 = beta * beta
+    s_pn = s_pn_from(coord, gamma)
+    s_ap_new = ((keep_p + b2) * s_ap + 2.0 * beta - shrink * b2
+                - beta * keep_p * s_pn - b2 * s_an)
+    s_an_new = ((keep_n + b2) * s_an - 2.0 * beta - shrink * b2
+                + beta * keep_n * s_pn - b2 * s_ap)
+    rad_ap = np.maximum(1.0 - s_ap * s_ap, 0.0)
+    rad_an = np.maximum(1.0 - s_an * s_an, 0.0)
+    along_p = keep_p + beta * s_ap
+    along_n = keep_n - beta * s_an
+    norm_p = np.sqrt(along_p * along_p + b2 * rad_ap)
+    norm_n = np.sqrt(along_n * along_n + b2 * rad_an)
+    # a' in the orthonormal frame of a, p's tangent direction at a, and
+    # the normal to the a-p plane
+    root_an = np.sqrt(rad_an)
+    in_plane = 1.0 + beta * s_ap - beta * s_an
+    tangent = beta * np.sqrt(rad_ap) - gamma * beta * root_an
+    off_plane = beta * np.sqrt(1.0 - gamma * gamma) * root_an
+    norm_a = np.sqrt(in_plane * in_plane + tangent * tangent
+                     + off_plane * off_plane)
+    d_sap = s_ap_new / (norm_a * norm_p) - s_ap
+    d_san = s_an_new / (norm_a * norm_n) - s_an
+    pq = params.entanglement_p * (s_ap * s_an)
     return SimilarityUpdate(
-        s_ap_new=s_ap_new,
-        s_an_new=s_an_new,
-        norm_a=norm_a,
-        norm_p=norm_p,
-        norm_n=norm_n,
-        d_sap=d_sap,
-        d_san=d_san,
-        d_sap_total=d_sap + pq * d_san,
-        d_san_total=d_san + pq * d_sap,
+        s_ap_new, s_an_new, norm_a, norm_p, norm_n, d_sap, d_san,
+        d_sap + pq * d_san, d_san + pq * d_sap,
     )
 
 
 def step_nca(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """One softmax-ratio-loss step in diagram space."""
-    s_ap, s_an = coord
+    """One softmax-ratio-loss step in diagram space: beta = lr * sigma."""
     beta = params.learning_rate * softmax_weight(coord)
-    if beta == 0.0:
-        return _identity_update(coord)
-    s_pn = s_pn_from(coord, params.gamma)
-    b2 = beta * beta
-    s_ap_new = (1.0 + b2) * s_ap + 2.0 * beta - beta * s_pn - b2 * s_an
-    s_an_new = (1.0 + b2) * s_an - 2.0 * beta + beta * s_pn - b2 * s_ap
-    norm_p = float(
-        np.sqrt((1.0 + beta * s_ap) ** 2 + b2 * max(1.0 - s_ap * s_ap, 0.0))
-    )
-    norm_n = float(
-        np.sqrt((1.0 - beta * s_an) ** 2 + b2 * max(1.0 - s_an * s_an, 0.0))
-    )
-    norm_a = _anchor_norm(s_ap, s_an, params.gamma, beta)
-    return _finish(coord, params, s_ap_new, s_an_new, norm_a, norm_p, norm_n)
+    return _closed_form(coord, params, beta, 0.0)
 
 
 def step_margin(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """One margin-hinge step in diagram space; identity when inactive."""
-    s_ap, s_an = coord
-    if hinge_argument(coord, params.loss.margin) <= 0.0:
-        return _identity_update(coord)
-    beta = 2.0 * params.learning_rate
-    if beta == 0.0:
-        return _identity_update(coord)
-    s_pn = s_pn_from(coord, params.gamma)
-    b2 = beta * beta
-    s_ap_new = (
-        (1.0 - beta + b2) * s_ap
-        + 2.0 * beta
-        - b2
-        - beta * (1.0 - beta) * s_pn
-        - b2 * s_an
-    )
-    s_an_new = (
-        (1.0 + beta + b2) * s_an
-        - 2.0 * beta
-        - b2
-        + beta * (1.0 + beta) * s_pn
-        - b2 * s_ap
-    )
-    norm_p = float(
-        np.sqrt(
-            (1.0 - beta + beta * s_ap) ** 2 + b2 * max(1.0 - s_ap * s_ap, 0.0)
-        )
-    )
-    norm_n = float(
-        np.sqrt(
-            (1.0 + beta - beta * s_an) ** 2 + b2 * max(1.0 - s_an * s_an, 0.0)
-        )
-    )
-    norm_a = _anchor_norm(s_ap, s_an, params.gamma, beta)
-    return _finish(coord, params, s_ap_new, s_an_new, norm_a, norm_p, norm_n)
+    """One margin-hinge step in diagram space: beta = 2 lr where the hinge
+    is active, and 0 (the identity) where it is not."""
+    active = hinge_argument(coord, params.loss.margin) > 0.0
+    return _closed_form(coord, params, 2.0 * params.learning_rate * active,
+                        1.0)
 
 
 def step(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """Dispatch on the configured loss kind (diagram dynamics cover nca and margin)."""
+    """Dispatch on the configured loss kind (diagram dynamics cover nca
+    and margin). Elementwise: a coord of floats gives one update, a coord
+    of arrays the update of every point, with the same bits."""
     if params.loss.kind == LossKind.NCA:
         return step_nca(coord, params)
     if params.loss.kind == LossKind.MARGIN:
@@ -217,7 +171,7 @@ class GridSpec:
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
         bounds = (self.s_ap_min, self.s_ap_max, self.s_an_min, self.s_an_max)
-        if any(abs(b) > 1.0 for b in bounds):
+        if not all(abs(b) <= 1.0 for b in bounds):  # also refuses NaN
             raise ValueError("grid bounds must lie within [-1, 1]")
 
     def s_ap_values(self) -> np.ndarray:
@@ -246,34 +200,15 @@ class VectorField:
 
 def vector_field(grid: GridSpec, params: StepParams) -> VectorField:
     """Evaluate the single-step deltas on every grid cell."""
-    n = grid.resolution * grid.resolution
-    s_ap = np.empty(n)
-    s_an = np.empty(n)
-    d_sap = np.empty(n)
-    d_san = np.empty(n)
-    d_sap_total = np.empty(n)
-    d_san_total = np.empty(n)
-    i = 0
-    for ap in grid.s_ap_values():
-        for an in grid.s_an_values():
-            upd = step(TripletCoord(float(ap), float(an)), params)
-            s_ap[i] = ap
-            s_an[i] = an
-            d_sap[i] = upd.d_sap
-            d_san[i] = upd.d_san
-            d_sap_total[i] = upd.d_sap_total
-            d_san_total[i] = upd.d_san_total
-            i += 1
-    return VectorField(
-        grid=grid,
-        params=params,
-        s_ap=s_ap,
-        s_an=s_an,
-        d_sap=d_sap,
-        d_san=d_san,
-        d_sap_total=d_sap_total,
-        d_san_total=d_san_total,
-    )
+    r = grid.resolution
+    s_ap = np.repeat(grid.s_ap_values(), r)
+    s_an = np.tile(grid.s_an_values(), r)
+    deltas = np.empty((4, r * r))
+    for i in range(0, r * r, r):  # one s_ap row a call: small temporaries
+        upd = step(TripletCoord(s_ap[i:i + r], s_an[i:i + r]), params)
+        deltas[:, i:i + r] = (upd.d_sap, upd.d_san, upd.d_sap_total,
+                              upd.d_san_total)
+    return VectorField(grid, params, s_ap, s_an, *deltas)
 
 
 def trajectory(
@@ -284,7 +219,10 @@ def trajectory(
     Returns steps+1 points including the start; each step adds
     (d_sap_total, d_san_total) and clamps back into the diagram square,
     since the first-order deltas can overshoot at coarse learning rates.
+    The start must lie in the square.
     """
+    if not (-1.0 <= start.s_ap <= 1.0 and -1.0 <= start.s_an <= 1.0):
+        raise ValueError("trajectory start must lie in [-1, 1]^2")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     coord = TripletCoord(float(start.s_ap), float(start.s_an))
@@ -292,8 +230,8 @@ def trajectory(
     for _ in range(steps):
         upd = step(coord, params)
         coord = TripletCoord(
-            float(np.clip(coord.s_ap + upd.d_sap_total, -1.0, 1.0)),
-            float(np.clip(coord.s_an + upd.d_san_total, -1.0, 1.0)),
+            float(min(max(coord.s_ap + upd.d_sap_total, -1.0), 1.0)),
+            float(min(max(coord.s_an + upd.d_san_total, -1.0), 1.0)),
         )
         points.append(coord)
     return points

@@ -127,8 +127,8 @@ def s_pn_from(coord: TripletCoord, gamma_value: float) -> float:
     """Positive-negative similarity implied by a diagram point and gamma.
 
     s_pn = s_ap * s_an + gamma * sqrt(1 - s_ap^2) * sqrt(1 - s_an^2),
-    with radicands clamped at zero.
+    with radicands clamped at zero; elementwise over coordinate arrays.
     """
-    rad_ap = max(1.0 - coord.s_ap * coord.s_ap, 0.0)
-    rad_an = max(1.0 - coord.s_an * coord.s_an, 0.0)
+    rad_ap = np.maximum(1.0 - coord.s_ap * coord.s_ap, 0.0)
+    rad_an = np.maximum(1.0 - coord.s_an * coord.s_an, 0.0)
     return coord.s_ap * coord.s_an + gamma_value * np.sqrt(rad_ap * rad_an)

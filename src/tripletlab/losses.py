@@ -13,9 +13,9 @@ The learning rate is deliberately NOT folded in here; dynamics and the
 trainer apply their own step sizes to the same gradient code.
 
 ``loss_values``, ``coord_grads`` and ``batch_feature_grads`` evaluate a
-whole batch of triplets, and ``is_hard`` and ``hinge_argument`` work
-elementwise; the single-triplet functions call into them. Only
-``softmax_weight`` stays scalar, for the dynamics' per-step speed.
+whole batch of triplets, and ``softmax_weight``, ``is_hard`` and
+``hinge_argument`` work elementwise; the single-triplet functions call
+into them.
 """
 
 from __future__ import annotations
@@ -80,17 +80,17 @@ class FeatureGrads(NamedTuple):
 
 
 def softmax_weight(coord: TripletCoord) -> float:
-    """exp(s_an) / (exp(s_ap) + exp(s_an)), computed stably.
+    """exp(s_an) / (exp(s_ap) + exp(s_an)), computed stably and
+    elementwise over coordinate arrays (a scalar for a scalar point).
 
     This sigma is the shared magnitude of every softmax-ratio gradient
     component; the paper-style step size is learning_rate * sigma.
     """
-    # sigma = sigmoid(s_an - s_ap)
+    # sigma = sigmoid(x): 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below, one exp(-|x|) serving both
     x = coord.s_an - coord.s_ap
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
+    t = np.exp(-abs(x))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def hinge_argument(coord: TripletCoord, margin: float) -> float:
@@ -150,9 +150,7 @@ def coord_grads(coords, spec: LossSpec) -> CoordGrad:
     if spec.easy_kind == LossKind.MARGIN:
         d = np.where(hinge_argument(coords, spec.margin) > 0.0, 2.0, 0.0)
     else:
-        x = coords.s_an - coords.s_ap  # softmax_weight's two branches
-        e = np.exp(x)
-        d = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), e / (1.0 + e))
+        d = softmax_weight(coords)
     if spec.kind != LossKind.SCT:
         return CoordGrad(0.0 - d, d)
     hard = is_hard(coords)

@@ -241,6 +241,20 @@ class TestRerun:
             assert main(["rerun", str(path)]) == 2
             assert "malformed manifest" in capsys.readouterr().err
 
+    def test_out_of_range_value_is_malformed(self, outdir, capsys):
+        """A value of the flag's type that the command refuses is the
+        manifest's fault under rerun: exit 2, not a usage error."""
+        main(["trajectory", "--start-sap", "0.1", "--start-san", "0.2",
+              "--steps", "3", "--out-prefix", "t"])
+        path = outdir / "t.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["start_sap"] = 1.5
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed manifest" in err and "start" in err
+
 
 def test_manifest_byte_identical_after_rerun(outdir):
     main(["simulate", "--resolution", "9", "--out-prefix", "s"])
@@ -281,6 +295,10 @@ def _train(data, *flags):
     pytest.param(["rerun", "{d}/bad.manifest.json"], 2, id="bad manifest"),
     pytest.param(["rerun", "{d}/typed.manifest.json"], 2,
                  id="manifest value type"),
+    pytest.param(["rerun", "{d}/nan_spread.manifest.json"], 2,
+                 id="manifest spread nan"),
+    pytest.param(["rerun", "{d}/one_class.manifest.json"], 2,
+                 id="manifest one class"),
 ])
 def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     """Inputs that once escaped as tracebacks or exited 0 with NaN
@@ -296,9 +314,12 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     (outdir / "bad.manifest.json").write_text(json.dumps(
         {"command": "train", "config": {}, "checksums": {}}
     ))
-    typed = json.loads((outdir / "data.manifest.json").read_text())
-    typed["config"]["classes"] = "4"
-    (outdir / "typed.manifest.json").write_text(json.dumps(typed))
+    for name, key, value in [("typed", "classes", "4"),
+                             ("nan_spread", "spread", float("nan")),
+                             ("one_class", "classes", 1)]:
+        edited = json.loads((outdir / "data.manifest.json").read_text())
+        edited["config"][key] = value
+        (outdir / f"{name}.manifest.json").write_text(json.dumps(edited))
     before = sorted(outdir.rglob("*"))
     capsys.readouterr()
     assert main([arg.format(d=outdir) for arg in argv]) == code

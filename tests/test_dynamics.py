@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletlab.dynamics import (
     GridSpec,
@@ -165,6 +167,26 @@ class TestVectorField:
         with pytest.raises(ValueError):
             GridSpec(resolution=1)
 
+    @pytest.mark.parametrize("bound", [
+        "s_ap_min", "s_ap_max", "s_an_min", "s_an_max",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, float("-inf")])
+    def test_bounds_validation(self, bound, value):
+        with pytest.raises(ValueError, match="grid bounds"):
+            GridSpec(resolution=5, **{bound: value})
+
+    @pytest.mark.parametrize("loss", [NCA, MARGIN02], ids=["nca", "margin"])
+    def test_equals_per_cell_step(self, loss):
+        """Every cell holds the scalar step's deltas at its coordinates."""
+        params = StepParams(learning_rate=0.3, gamma=0.4, entanglement_p=0.7,
+                            loss=loss)
+        field = vector_field(GridSpec(resolution=41), params)
+        assert len(field) == 41 * 41
+        for i, (ap, an) in enumerate(zip(field.s_ap, field.s_an)):
+            upd = step(TripletCoord(float(ap), float(an)), params)
+            assert (field.d_sap[i], field.d_san[i], field.d_sap_total[i],
+                    field.d_san_total[i]) == upd[5:]
+
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -0.1), ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
@@ -258,3 +280,46 @@ class TestTrajectory:
     def test_steps_validation(self):
         with pytest.raises(ValueError):
             trajectory(TripletCoord(0, 0), StepParams(learning_rate=0.1), 0)
+
+    @pytest.mark.parametrize("start", [
+        (1.5, 0.2), (0.2, -1.0000001), (float("nan"), 0.0),
+        (0.0, float("inf")),
+    ])
+    def test_start_outside_square_refused(self, start):
+        with pytest.raises(ValueError, match="start"):
+            trajectory(TripletCoord(*start), StepParams(learning_rate=0.1), 5)
+
+
+_UNIT = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                  st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _points_and_params(draw):
+    coords = draw(st.lists(st.tuples(_UNIT, _UNIT), min_size=1,
+                           max_size=32))
+    kind = draw(st.sampled_from([LossKind.NCA, LossKind.MARGIN]))
+    params = StepParams(
+        learning_rate=draw(st.floats(0.0, 2.0)),
+        gamma=draw(_UNIT),
+        entanglement_p=draw(st.floats(0.0, 2.0)),
+        loss=LossSpec(kind=kind, margin=draw(st.floats(0.0, 1.0))),
+    )
+    return coords, params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_points_and_params())
+def test_array_step_equals_scalar_step_bit_for_bit(case):
+    """One step over coordinate arrays gives, bit for bit, each point's
+    scalar step: nca and margin, inactive hinges, lr = 0, gamma = +-1 and
+    the square's corners included."""
+    coords, params = case
+    s_ap, s_an = np.array(coords).T
+    array_upd = step(TripletCoord(s_ap, s_an), params)
+    scalar_upd = [step(TripletCoord(*c), params) for c in coords]
+    for name, column in zip(array_upd._fields, array_upd):
+        scalar = np.array([getattr(u, name) for u in scalar_upd])
+        assert column.shape == scalar.shape
+        assert np.array_equal(column.view(np.uint64),
+                              scalar.view(np.uint64)), name

@@ -12,6 +12,7 @@ from tripletlab.losses import (
     margin_loss,
     nca_loss,
     sct_loss,
+    softmax_weight,
 )
 
 from conftest import random_unit, triplet_vectors
@@ -96,6 +97,20 @@ class TestSctLoss:
         spec = LossSpec(kind=LossKind.SCT, lam=1.0, base=LossKind.MARGIN,
                         margin=0.2)
         assert sct_loss(TripletCoord(0.8, 0.2), spec) == 0.0
+
+
+def test_softmax_weight_is_elementwise():
+    """Arrays give each point's scalar sigma, both branches' formulas,
+    with no overflow far from the diagonal; a point gives a scalar."""
+    x = np.array([-800.0, -3.0, -1e-300, 0.0, 0.25, 3.0, 800.0])
+    with np.errstate(over="raise"):
+        sigma = softmax_weight(TripletCoord(np.zeros_like(x), x))
+    e = np.exp(x[:3])
+    assert np.array_equal(sigma[:3], e / (1.0 + e))
+    assert np.array_equal(sigma[3:], 1.0 / (1.0 + np.exp(-x[3:])))
+    for xi, si in zip(x, sigma):
+        scalar = softmax_weight(TripletCoord(0.0, float(xi)))
+        assert np.ndim(scalar) == 0 and scalar == si
 
 
 class TestCoordGrad:
