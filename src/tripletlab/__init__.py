@@ -65,7 +65,6 @@ from .trainer import (
     TrainConfig,
     backward,
     embed,
-    forward,
     init_params,
     train,
 )

@@ -7,9 +7,9 @@ manifest with sha256 checksums, and is byte-deterministic given its flags.
 ``tripletlab rerun <manifest>`` re-executes a recorded run next to the
 manifest and verifies the checksums still match.
 
-Exit codes: 0 success; 1 any invalid flag value, including seed and class
-count; 2 an unreadable, malformed or non-finite input file or manifest;
-3 degenerate vectors, and divergence. A refused run writes no manifest.
+Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
+2 an unreadable, malformed or non-finite input file or manifest; 3 a zero
+vector, divergence or a non-finite field. A refusal writes no manifest.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord, s_pn_from
+from .geometry import DegenerateVectorError, TripletCoord, s_pn_from
 from .losses import LossKind, LossSpec, hinge_argument, softmax_weight
 
 
@@ -199,15 +199,21 @@ class VectorField:
 
 
 def vector_field(grid: GridSpec, params: StepParams) -> VectorField:
-    """Evaluate the single-step deltas on every grid cell."""
+    """Evaluate the single-step deltas on every grid cell; a non-finite
+    delta (the step overflows or zeroes a feature) raises
+    DegenerateVectorError."""
     r = grid.resolution
     s_ap = np.repeat(grid.s_ap_values(), r)
     s_an = np.tile(grid.s_an_values(), r)
     deltas = np.empty((4, r * r))
-    for i in range(0, r * r, r):  # one s_ap row a call: small temporaries
-        upd = step(TripletCoord(s_ap[i:i + r], s_an[i:i + r]), params)
-        deltas[:, i:i + r] = (upd.d_sap, upd.d_san, upd.d_sap_total,
-                              upd.d_san_total)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(0, r * r, r):  # one s_ap row a call: small temporaries
+            upd = step(TripletCoord(s_ap[i:i + r], s_an[i:i + r]), params)
+            deltas[:, i:i + r] = (upd.d_sap, upd.d_san, upd.d_sap_total,
+                                  upd.d_san_total)
+    if not np.isfinite(deltas).all():
+        raise DegenerateVectorError("vector field is not finite: a step "
+                                    "overflows or zeroes a feature")
     return VectorField(grid, params, s_ap, s_an, *deltas)
 
 

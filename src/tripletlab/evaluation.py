@@ -1,9 +1,11 @@
 """Retrieval metrics and whole-batch diagram extraction.
 
 Recall@K counts a query as a hit when at least one of its top-K gallery
-neighbors (by cosine, self excluded on request) shares the query label.
-Ranking ties break toward the lower gallery index so results are exactly
-reproducible.
+neighbors (by cosine, self excluded on request) shares the query label,
+ties ranking the lower gallery index first. Nothing is sorted: a query
+hits iff fewer than K items rank ahead of its best same-label item (the
+masked argmax, lowest index on ties), "ahead" meaning a larger
+similarity, or an equal one at a lower index.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mining import (Batch, MiningStrategy, NoNegativesError, Triplets,
-                     mine, similarity_matrix)
+from .mining import (_BLOCK_ROWS, Batch, MiningStrategy, NoNegativesError,
+                     Triplets, mine, similarity_matrix)
 
 
 class RetrievalResult(NamedTuple):
@@ -47,10 +49,15 @@ def recall_at_k(
     if exclude_self:
         np.fill_diagonal(sims, -np.inf)
     hits = 0
-    for i in range(n_q):
-        order = np.argsort(-sims[i], kind="stable")[:k]
-        if np.any(gallery.labels[order] == queries.labels[i]):
-            hits += 1
+    for lo in range(0, n_q, _BLOCK_ROWS):  # temporaries: _BLOCK_ROWS x n_g
+        block = sims[lo:lo + _BLOCK_ROWS]
+        same = queries.labels[lo:lo + _BLOCK_ROWS, None] == gallery.labels
+        masked = np.where(same, block, -np.inf)  # the excluded self is -inf
+        top = masked.argmax(axis=1)[:, None]
+        best = np.take_along_axis(masked, top, axis=1)  # -inf: no match
+        ahead = (block > best) | ((block == best) & (np.arange(n_g) < top))
+        hits += np.count_nonzero(np.isfinite(best[:, 0])
+                                 & (np.count_nonzero(ahead, axis=1) < k))
     return RetrievalResult(k=k, recall=hits / n_q, num_queries=n_q)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 WIDTH = 560
 HEIGHT = 560
 MARGIN = 60
@@ -15,6 +17,11 @@ MARGIN = 60
 HARD_COLOR = "#d62728"
 EASY_COLOR = "#1f77b4"
 SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+
+# quiver cells in _f's "%.2f": a shaft and a two-stroke head, or a dot
+_ARROW = ('<path d="M%.2f %.2f L%.2f %.2f M%.2f %.2f L%.2f %.2f L%.2f %.2f" '
+          f'stroke="{EASY_COLOR}" fill="none" stroke-width="1"/>')
+_DOT = '<circle cx="%.2f" cy="%.2f" r="0.8" fill="gray"/>'
 
 
 def _f(x: float) -> str:
@@ -99,36 +106,37 @@ def field_quiver(
     d_san: Sequence[float],
     title: str,
 ) -> str:
-    """Arrow per cell, length scaled by delta magnitude."""
-    mags = [
-        (dx * dx + dy * dy) ** 0.5 for dx, dy in zip(d_sap, d_san)
-    ]
-    max_mag = max(mags) if mags else 0.0
-    n_cells = max(len(mags), 1)
-    cell_px = (WIDTH - 2 * MARGIN) / max(n_cells**0.5 - 1, 1)
-    scale = 0.0 if max_mag == 0 else 0.9 * cell_px / max_mag
+    """Arrow per cell, length scaled by delta magnitude; an arrow shorter
+    than 0.15 px is drawn as a gray dot."""
     body = _square_axes("s_ap", "s_an")
-    for x, y, dx, dy, mag in zip(s_ap, s_an, d_sap, d_san, mags):
-        px, py = _sq_x(x), _sq_y(y)
-        if mag * scale < 0.15:
-            body.append(
-                f'<circle cx="{_f(px)}" cy="{_f(py)}" r="0.8" fill="gray"/>'
-            )
-            continue
-        qx = px + dx * scale
-        qy = py - dy * scale
-        ux, uy = (qx - px) / (mag * scale), (qy - py) / (mag * scale)
-        head = 0.3 * mag * scale if mag * scale < 10 else 3.0
-        lx = qx - head * (ux - 0.5 * uy)
-        ly = qy - head * (uy + 0.5 * ux)
-        rx = qx - head * (ux + 0.5 * uy)
-        ry = qy - head * (uy - 0.5 * ux)
-        body.append(
-            f'<path d="M{_f(px)} {_f(py)} L{_f(qx)} {_f(qy)} '
-            f'M{_f(lx)} {_f(ly)} L{_f(qx)} {_f(qy)} L{_f(rx)} {_f(ry)}" '
-            f'stroke="{EASY_COLOR}" fill="none" stroke-width="1"/>'
-        )
-    return _document(body, title)
+    return _document(body + _quiver_cells(s_ap, s_an, d_sap, d_san), title)
+
+
+def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[str]:
+    """One arrow or dot per cell; its arrays are freed on return, before
+    the document's cells are joined."""
+    d = np.array([d_sap, d_san], dtype=np.float64)
+    # a power-of-two rescale draws the same bytes, and the rescaled
+    # magnitudes cannot overflow
+    d = np.ldexp(d, -np.frexp(np.abs(d).max(initial=0.0))[1])
+    mags = np.hypot(*d)
+    max_mag = mags.max(initial=0.0)
+    cell_px = (WIDTH - 2 * MARGIN) / max(mags.size ** 0.5 - 1, 1)
+    scale = 0.0 if max_mag == 0 else 0.9 * cell_px / max_mag
+    px = _sq_x(np.asarray(s_ap, dtype=np.float64))
+    py = _sq_y(np.asarray(s_an, dtype=np.float64))
+    arrow = mags * scale >= 0.15
+    (dx, dy), mags, x0, y0 = d[:, arrow], mags[arrow], px[arrow], py[arrow]
+    qx, qy = x0 + dx * scale, y0 - dy * scale
+    ux, uy = (qx - x0) / (mags * scale), (qy - y0) / (mags * scale)
+    head = np.where(mags * scale < 10, 0.3 * mags * scale, 3.0)
+    lx, ly = qx - head * (ux - 0.5 * uy), qy - head * (uy + 0.5 * ux)
+    rx, ry = qx - head * (ux + 0.5 * uy), qy - head * (uy - 0.5 * ux)
+    ends = iter(np.column_stack([x0, y0, qx, qy, lx, ly, qx, qy, rx, ry]))
+    return [
+        _ARROW % tuple(next(ends).tolist()) if is_arrow else _DOT % (x, y)
+        for is_arrow, x, y in zip(arrow.tolist(), px.tolist(), py.tolist())
+    ]
 
 
 def trajectory_path(

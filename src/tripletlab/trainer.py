@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .evaluation import collapse_metric, recall_at_k
-from .geometry import DegenerateVectorError, normalize
+from .geometry import DegenerateVectorError
 from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
 from .mining import Batch, MinedTriplet, MiningStrategy, Triplets, mine
 from .synthdata import LabeledDataset
@@ -101,11 +101,6 @@ class EpochLog:
     recall_at_1: float
     collapse: float
     snapshot: Triplets | None = None
-
-
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Embed one input: normalize(W^T x)."""
-    return normalize(params.weight.T @ np.asarray(x, dtype=np.float64))
 
 
 def embed(params: ModelParams, xs: np.ndarray) -> np.ndarray:

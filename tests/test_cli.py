@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,18 @@ class TestRerun:
         assert "malformed manifest" in err and "start" in err
 
 
+def test_huge_finite_field_draws_without_nan(outdir, capsys):
+    """--p 1e308 gives finite deltas up to about 1e306: the run succeeds
+    with no warning and no nan or inf token in any artifact."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--p", "1e308", "--out-prefix", "f"]) == 0
+    assert capsys.readouterr().err == ""
+    for path in outdir.iterdir():
+        text = path.read_text()
+        assert not re.search(r"\b(?:nan|inf)\b", text, re.I), path.name
+
+
 def test_manifest_byte_identical_after_rerun(outdir):
     main(["simulate", "--resolution", "9", "--out-prefix", "s"])
     manifest = outdir / "s.manifest.json"
@@ -286,6 +299,10 @@ def _train(data, *flags):
                  id="p nan"),
     pytest.param(["simulate", "--p", "inf", "--out-prefix", "f"], 1,
                  id="p inf"),
+    pytest.param(["simulate", "--beta-scale", "1e308", "--out-prefix", "f"],
+                 3, id="field overflow"),
+    pytest.param(["simulate", "--loss", "margin", "--beta-scale", "0.25",
+                  "--out-prefix", "f"], 3, id="field zeroes a feature"),
     pytest.param(["diagram", "--data", "{d}/data.csv", "--weights",
                   "{d}/nan_weights.csv", "--out-prefix", "d"], 2,
                  id="nan weights"),

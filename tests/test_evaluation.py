@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletlab.evaluation import (
     collapse_metric,
@@ -89,6 +91,44 @@ class TestRecallAtK:
             recall_at_k(q, q, k=0)
         with pytest.raises(ValueError):
             recall_at_k(q, q, k=4, exclude_self=True)
+
+
+@st.composite
+def retrieval_cases(draw):
+    """Queries and a gallery of 2-30 rows with small-integer components,
+    so similarities tie exactly, and 1-6 labels each, so classes can be
+    singletons. The gallery is the query set (self excluded or not) or a
+    distinct set, whose labels may miss some of the queries'. k runs up
+    to past the gallery size when self is not excluded."""
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+
+    def batch():
+        n = draw(st.integers(2, 30))
+        rows = np.array(draw(st.lists(vector.filter(any), min_size=n,
+                                      max_size=n)), dtype=np.float64)
+        labels = draw(st.lists(st.integers(0, draw(st.integers(0, 5))),
+                               min_size=n, max_size=n))
+        return Batch(rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                     labels)
+
+    queries = batch()
+    if draw(st.booleans()):
+        gallery, exclude_self = batch(), False
+    else:
+        gallery, exclude_self = queries, draw(st.booleans())
+    top_k = len(gallery) - 1 if exclude_self else len(gallery) + 2
+    return queries, gallery, draw(st.integers(1, top_k)), exclude_self
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=retrieval_cases())
+def test_recall_matches_brute_force_with_ties(case):
+    queries, gallery, k, exclude_self = case
+    got = recall_at_k(queries, gallery, k, exclude_self)
+    assert got.recall == brute_force_recall(queries, gallery, k,
+                                            exclude_self)
+    assert got.num_queries == len(queries)
 
 
 class TestCollapseMetric:

@@ -12,7 +12,6 @@ from tripletlab.trainer import (
     _sample_batch,
     backward,
     embed,
-    forward,
     init_params,
     train,
 )
@@ -45,30 +44,37 @@ def batch_loss(weight, xs, triplets, spec):
 
 
 class TestForward:
+    """The forward pass: embed on one row."""
+
+    def one(self, params, x):
+        return embed(params, x[None, :])[0]
+
     def test_identity_weight_passthrough(self, rng):
         x = random_unit(rng, 5)
         params = ModelParams(weight=np.eye(5))
-        assert np.allclose(forward(params, x), x, atol=1e-12)
+        assert np.allclose(self.one(params, x), x, atol=1e-12)
 
     def test_scale_invariance(self, rng):
         w = rng.standard_normal((6, 4))
         x = random_unit(rng, 6)
-        a = forward(ModelParams(weight=w), x)
-        b = forward(ModelParams(weight=5.0 * w), x)
+        a = self.one(ModelParams(weight=w), x)
+        b = self.one(ModelParams(weight=5.0 * w), x)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_unit_output(self, rng):
         params = ModelParams(weight=rng.standard_normal((6, 4)))
         for _ in range(20):
-            out = forward(params, random_unit(rng, 6))
+            out = self.one(params, random_unit(rng, 6))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_embed_matches_forward(self, rng):
+        """Each row of a batch embed is normalize(W^T x) of that row."""
         params = ModelParams(weight=rng.standard_normal((6, 4)))
         xs = np.stack([random_unit(rng, 6) for _ in range(8)])
         feats = embed(params, xs)
         for i in range(8):
-            assert np.allclose(feats[i], forward(params, xs[i]), atol=1e-12)
+            z = params.weight.T @ xs[i]
+            assert np.allclose(feats[i], z / np.linalg.norm(z), atol=1e-12)
 
 
 class TestBackward:
