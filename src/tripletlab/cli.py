@@ -9,7 +9,8 @@ manifest and verifies the checksums still match.
 
 Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
 2 an unreadable, malformed or non-finite input file or manifest; 3 a zero
-vector, divergence or a non-finite field. A refusal writes no manifest.
+vector, divergence, a non-finite field or trajectory step, or generated
+data that overflows. A refusal writes no manifest.
 """
 
 from __future__ import annotations
@@ -189,7 +190,11 @@ def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
     params = _step_params(cfg)
     start = TripletCoord(cfg["start_sap"], cfg["start_san"])
     points = trajectory(start, params, cfg["steps"])
-    upd = step(TripletCoord(*np.array(points).T), params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        upd = step(TripletCoord(*np.array(points).T), params)
+    if not np.isfinite([upd.d_sap_total, upd.d_san_total]).all():
+        raise DegenerateVectorError("the step from the trajectory's last "
+                                    "point is not finite")
     arts.csv("trajectory_csv", ".trajectory.csv",
              ["s_ap", "s_an", "d_sap", "d_san"],
              ([*pt, d_sap, d_san] for pt, d_sap, d_san

@@ -36,6 +36,7 @@ forms are exact, not approximations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,6 +44,11 @@ import numpy as np
 
 from .geometry import DegenerateVectorError, TripletCoord, s_pn_from
 from .losses import LossKind, LossSpec, hinge_argument, softmax_weight
+
+# size bounds, checked before anything is allocated: a million field
+# cells, a million rollout points
+MAX_RESOLUTION = 1001
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,8 @@ class GridSpec:
     s_an_max: float = 1.0
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        if not 2 <= self.resolution <= MAX_RESOLUTION:
+            raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
         bounds = (self.s_ap_min, self.s_ap_max, self.s_an_min, self.s_an_max)
         if not all(abs(b) <= 1.0 for b in bounds):  # also refuses NaN
             raise ValueError("grid bounds must lie within [-1, 1]")
@@ -225,19 +231,25 @@ def trajectory(
     Returns steps+1 points including the start; each step adds
     (d_sap_total, d_san_total) and clamps back into the diagram square,
     since the first-order deltas can overshoot at coarse learning rates.
-    The start must lie in the square.
+    The start must lie in the square. A non-finite delta (the step
+    overflows or zeroes a feature) raises DegenerateVectorError.
     """
     if not (-1.0 <= start.s_ap <= 1.0 and -1.0 <= start.s_an <= 1.0):
         raise ValueError("trajectory start must lie in [-1, 1]^2")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [1, {MAX_STEPS}]")
     coord = TripletCoord(float(start.s_ap), float(start.s_an))
     points = [coord]
-    for _ in range(steps):
-        upd = step(coord, params)
-        coord = TripletCoord(
-            float(min(max(coord.s_ap + upd.d_sap_total, -1.0), 1.0)),
-            float(min(max(coord.s_an + upd.d_san_total, -1.0), 1.0)),
-        )
-        points.append(coord)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(steps):
+            upd = step(coord, params)
+            d_sap, d_san = float(upd.d_sap_total), float(upd.d_san_total)
+            if not (math.isfinite(d_sap) and math.isfinite(d_san)):
+                raise DegenerateVectorError(
+                    f"trajectory step {len(points)} is not finite: the "
+                    "step overflows or zeroes a feature"
+                )
+            coord = TripletCoord(min(max(coord.s_ap + d_sap, -1.0), 1.0),
+                                 min(max(coord.s_an + d_san, -1.0), 1.0))
+            points.append(coord)
     return points

@@ -58,8 +58,8 @@ class Batch:
             raise ValueError("embeddings and labels must be parallel arrays")
         if emb.shape[0] < 2:
             raise ValueError("a batch needs at least 2 items")
-        norms = np.linalg.norm(emb, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails too
+        norms = np.sqrt((emb * emb).sum(axis=1))
+        if not (np.abs(norms - 1.0) <= 1e-6).all():  # NaN fails too
             raise ValueError("batch embeddings must be unit vectors")
 
     def __len__(self) -> int:
@@ -152,17 +152,20 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     ephn : most similar positive and most similar negative (no draws)
     random: seeded-uniform positive and negative
 
+    A draw whose range holds one value, such as the only positive of a
+    two-per-class batch, would return 0: when no draw has a wider range,
+    no generator is built and every pick is the same as drawn.
     Raises NoNegativesError when the batch holds a single class.
     """
     strategy = MiningStrategy(strategy)
     labels = batch.labels
-    classes, class_of, sizes = np.unique(
-        labels, return_inverse=True, return_counts=True
-    )
-    if classes.size < 2:
+    ordered = np.sort(labels)
+    if ordered[0] == ordered[-1]:
         raise NoNegativesError("batch contains a single class; no negatives")
     sims = similarity_matrix(batch)
-    size = sizes[class_of]
+    # each item's class size: the span of its label in the sorted labels
+    size = (np.searchsorted(ordered, labels, "right")
+            - np.searchsorted(ordered, labels, "left"))
     anchors = np.flatnonzero(size > 1)  # singleton classes anchor nothing
     random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
                                 MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE)
@@ -170,10 +173,10 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
                             MiningStrategy.EASY_POSITIVE)
     counts = (([size[anchors] - 1] if random_p else [])
               + ([len(batch) - size[anchors]] if random_n else []))
-    if counts:  # a row per anchor: the positive's draw, then the negative's
-        draws = np.random.default_rng(seed).integers(
-            0, np.column_stack(counts)
-        )
+    # a row per anchor: the positive's draw, then the negative's
+    counts = np.array(counts, np.int64).T
+    draws = (np.random.default_rng(seed).integers(0, counts)
+             if (counts > 1).any() else np.zeros_like(counts))
     positive = np.empty_like(anchors)
     negative = np.empty_like(anchors)
     for lo in range(0, anchors.size, _BLOCK_ROWS):

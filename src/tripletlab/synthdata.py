@@ -19,7 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import DegenerateVectorError
+
 FLOAT_FMT = "%.12g"
+# classes x per_class x input_dim, checked before anything is allocated
+MAX_CELLS = 2**24
 
 
 class DatasetParseError(ValueError):
@@ -41,6 +45,10 @@ class DatasetConfig:
             raise ValueError("per_class must be >= 2")
         if self.input_dim < 2:
             raise ValueError("input_dim must be >= 2")
+        if self.num_classes * self.per_class * self.input_dim > MAX_CELLS:
+            raise ValueError(
+                f"classes x per_class x input_dim must be <= {MAX_CELLS}"
+            )
         if not (np.isfinite(self.intra_spread) and self.intra_spread >= 0):
             raise ValueError("intra_spread must be finite and >= 0")
 
@@ -86,7 +94,13 @@ def generate(config: DatasetConfig) -> LabeledDataset:
     ) / np.sqrt(config.input_dim)
     points = centers[:, None, :] + config.intra_spread * noise
     points = points.reshape(-1, config.input_dim)
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(points, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise DegenerateVectorError(
+            "a member's norm is not finite or is zero: the spread overflows"
+        )
+    points /= norms
     labels = np.repeat(np.arange(config.num_classes), config.per_class)
     return LabeledDataset(points=points, labels=labels)
 

@@ -33,6 +33,7 @@ from .mining import Batch, MinedTriplet, MiningStrategy, Triplets, mine
 from .synthdata import LabeledDataset
 
 _SEED_MAX = 2**63 - 1
+MAX_EMBED_DIM = 1024  # checked before the weights are allocated
 
 
 class GradMode(str, Enum):
@@ -51,7 +52,7 @@ class ModelParams:
         object.__setattr__(self, "weight", w)
         if w.ndim != 2:
             raise ValueError("weight must be a 2D matrix")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weight entries must be finite")
 
     @property
@@ -85,8 +86,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.classes_per_batch < 2:
             raise ValueError("classes_per_batch must be >= 2")
-        if self.embed_dim < 2:
-            raise ValueError("embed_dim must be >= 2")
+        if not 2 <= self.embed_dim <= MAX_EMBED_DIM:
+            raise ValueError(f"embed_dim must lie in [2, {MAX_EMBED_DIM}]")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
@@ -111,12 +112,12 @@ def embed(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(xs, dtype=np.float64) @ params.weight
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)):
+        norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    if not np.isfinite(norms).all():
         raise DegenerateVectorError(
             "embedding norm is not finite: training diverged"
         )
-    if np.any(norms <= 1e-12):
+    if (norms <= 1e-12).any():
         raise DegenerateVectorError("embedding collapsed to a zero vector")
     return z / norms
 
@@ -147,7 +148,7 @@ def backward(
         return np.zeros_like(params.weight)
     xs = np.asarray(inputs, dtype=np.float64)
     z = xs @ params.weight
-    z_norms = np.linalg.norm(z, axis=1)
+    z_norms = np.sqrt((z * z).sum(axis=1))
     feats = z / z_norms[:, None]
     grads = batch_feature_grads(
         feats[t.anchor], feats[t.positive], feats[t.negative], loss
@@ -171,10 +172,9 @@ def _sample_batch(
 ) -> np.ndarray:
     class_ids = np.asarray(sorted(members.keys()))
     chosen = rng.choice(class_ids, size=classes_per_batch, replace=False)
-    picks = []
-    for c in chosen:
-        picks.extend(rng.choice(members[int(c)], size=2, replace=False))
-    return np.asarray(picks, dtype=np.int64)
+    pairs = [members[c][rng.choice(members[c].size, size=2, replace=False)]
+             for c in chosen.tolist()]
+    return np.concatenate(pairs)
 
 
 def train(

@@ -303,6 +303,29 @@ def _train(data, *flags):
                  3, id="field overflow"),
     pytest.param(["simulate", "--loss", "margin", "--beta-scale", "0.25",
                   "--out-prefix", "f"], 3, id="field zeroes a feature"),
+    pytest.param(["trajectory", "--loss", "margin", "--beta-scale", "0.25",
+                  "--start-sap", "-1", "--start-san", "-0.5", "--steps",
+                  "5", "--out-prefix", "t"], 3,
+                 id="trajectory zeroes a feature"),
+    pytest.param(["trajectory", "--beta-scale", "1e308", "--start-sap", "0",
+                  "--start-san", "0.5", "--steps", "5", "--out-prefix", "t"],
+                 3, id="trajectory overflow"),
+    # the one step lands on s_ap = -1, where the written delta is nan
+    pytest.param(["trajectory", "--loss", "margin", "--beta-scale", "0.25",
+                  "--p", "10", "--start-sap", "-0.9", "--start-san", "-0.7",
+                  "--steps", "1", "--out-prefix", "t"], 3,
+                 id="trajectory last point"),
+    pytest.param(gen_args(out="o.csv", classes=3, per_class=3, dim=4,
+                          spread=1e308), 3, id="spread overflow"),
+    pytest.param(gen_args(out="o.csv", classes=2, per_class=2,
+                          dim=2**22 + 1), 1, id="gen-data cells above bound"),
+    pytest.param(["simulate", "--resolution", "1002", "--out-prefix", "f"], 1,
+                 id="resolution above bound"),
+    pytest.param(["trajectory", "--start-sap", "0", "--start-san", "0.5",
+                  "--steps", "1000001", "--out-prefix", "t"], 1,
+                 id="steps above bound"),
+    pytest.param(_train("{d}/data.csv", "--embed-dim", "1025"), 1,
+                 id="embed-dim above bound"),
     pytest.param(["diagram", "--data", "{d}/data.csv", "--weights",
                   "{d}/nan_weights.csv", "--out-prefix", "d"], 2,
                  id="nan weights"),
@@ -317,6 +340,7 @@ def _train(data, *flags):
     pytest.param(["rerun", "{d}/one_class.manifest.json"], 2,
                  id="manifest one class"),
 ])
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning is a second line
 def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     """Inputs that once escaped as tracebacks or exited 0 with NaN
     artifacts: each returns its documented code, prints one error line,

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletlab.dynamics import (
+    MAX_RESOLUTION,
+    MAX_STEPS,
     GridSpec,
     StepParams,
     step,
@@ -12,7 +14,7 @@ from tripletlab.dynamics import (
     trajectory,
     vector_field,
 )
-from tripletlab.geometry import TripletCoord
+from tripletlab.geometry import DegenerateVectorError, TripletCoord
 from tripletlab.losses import LossKind, LossSpec, softmax_weight
 
 from conftest import sphere_step_oracle
@@ -164,8 +166,9 @@ class TestVectorField:
         assert field.s_ap.min() == -1.0 and field.s_ap.max() == 1.0
 
     def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(resolution=1)
+        for resolution in (1, MAX_RESOLUTION + 1):
+            with pytest.raises(ValueError, match="resolution"):
+                GridSpec(resolution=resolution)
 
     @pytest.mark.parametrize("bound", [
         "s_ap_min", "s_ap_max", "s_an_min", "s_an_max",
@@ -278,8 +281,20 @@ class TestTrajectory:
             assert -1.0 <= pt.s_an <= 1.0
 
     def test_steps_validation(self):
-        with pytest.raises(ValueError):
-            trajectory(TripletCoord(0, 0), StepParams(learning_rate=0.1), 0)
+        for steps in (0, MAX_STEPS + 1):
+            with pytest.raises(ValueError, match="steps"):
+                trajectory(TripletCoord(0, 0), StepParams(learning_rate=0.1),
+                           steps)
+
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning either
+    @pytest.mark.parametrize("start, params", [
+        # the margin step sends the positive to zero at s_ap = -1
+        ((-1.0, -0.5), StepParams(learning_rate=0.25, loss=MARGIN02)),
+        ((0.0, 0.5), StepParams(learning_rate=1e308)),
+    ])
+    def test_non_finite_step_refused(self, start, params):
+        with pytest.raises(DegenerateVectorError, match="not finite"):
+            trajectory(TripletCoord(*start), params, 5)
 
     @pytest.mark.parametrize("start", [
         (1.5, 0.2), (0.2, -1.0000001), (float("nan"), 0.0),

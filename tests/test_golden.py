@@ -60,6 +60,14 @@ RUNS = [
     ("train shn", "train --data data.csv --miner shn --grad-mode post "
                   "--lr 0.2 --epochs 2 --classes-per-batch 3 --embed-dim 3 "
                   "--batches-per-epoch 3 --seed 7 --out-prefix shn"),
+    # the miners that still draw: random picks the negative, ep the
+    # negative after the easiest positive
+    ("train random", "train --data data.csv --miner random --lr 0.8 "
+                     "--epochs 2 --classes-per-batch 2 --embed-dim 4 "
+                     "--snapshot-every 1 --seed 3 --out-prefix rnd"),
+    ("train ep", "train --data data.csv --miner ep --grad-mode post "
+                 "--lr 0.3 --epochs 2 --classes-per-batch 3 --embed-dim 3 "
+                 "--seed 5 --out-prefix ep"),
     ("diagram raw", "diagram --data data.csv --out-prefix raw"),
     ("diagram weights", "diagram --data data.csv --weights sct.weights.csv "
                         "--out-prefix dw"),
@@ -70,6 +78,8 @@ RUNS = [
     ("rerun trajectory", "rerun trm.manifest.json"),
     ("rerun train sct", "rerun sct.manifest.json"),
     ("rerun train shn", "rerun shn.manifest.json"),
+    ("rerun train random", "rerun rnd.manifest.json"),
+    ("rerun train ep", "rerun ep.manifest.json"),
     ("rerun diagram raw", "rerun raw.manifest.json"),
     ("rerun diagram weights", "rerun dw.manifest.json"),
     # refused runs
@@ -109,6 +119,10 @@ EXPECTED = {
         "0 8fb64ffae565e3a48fccdc7c6e2ac32698d5e64d62990a12fe9719830e8e8c6a",
     "run train shn":
         "0 44a5e3fc36e322ca520c381fee6bcc9b6157c6ddba95c0d048e750177119ca1d",
+    "run train random":
+        "0 766de0fabd079df43504ccc0adf48d4530075c9e1f7a71c6374dac3cde5775d1",
+    "run train ep":
+        "0 f749f0765bbbd25d68684baba15fde18cd741dc3a23c6e549bc2cda8b80a3647",
     "run diagram raw":
         "0 11e18150bb41fa12e33135087f764427a88c34ff85f6a99a2af40325b670b840",
     "run diagram weights":
@@ -127,6 +141,10 @@ EXPECTED = {
         "0 1f9ceea1f0c7f4f792994251566c779545a69a74ff6bbeafb468053c05291c7a",
     "run rerun train shn":
         "0 7009dd619a8994a243e78ea5773891559bc399bc39c4bca90031960e3be96b6d",
+    "run rerun train random":
+        "0 54f0bc030dc23b8af52f53b51610bd1df85b35a000831abdc153fbc896036410",
+    "run rerun train ep":
+        "0 7f499e3d3f9882ec11daaa90591d6c1c9365cce178b8d9b76b6f0f8e4b60d22e",
     "run rerun diagram raw":
         "0 aa68eaca39b82b09a6f7c972ccb16ce9407c9487f31b320e355348056680ab08",
     "run rerun diagram weights":
@@ -167,6 +185,18 @@ EXPECTED = {
         "e8c45bc90bfe8a436a3a8e876d5a4689cf376f40330036170e404acf269b45c4",
     "file dw.manifest.json":
         "158a1c805041d83878427acd8cd9ff59271f6cfe3c5d93f296b7203a4ea18014",
+    "file ep.curves.svg":
+        "9c9aa0246e77767033b11aea22a4cafea0ed773a8b5c93fb0513b810eea26b50",
+    "file ep.epochs.csv":
+        "6bebde898a5f00e95e823d2ab0658b5f91f448bf3218d5a69c1392b6199c3d8f",
+    "file ep.epochs.json":
+        "fb7f7db4497add46f4fb2283e0ab2574dba4a4ffdf0663de522423f3951da64d",
+    "file ep.manifest.json":
+        "5fd814372e8a5d5959851b701aa93c1346d0430ec1ce2cc94886a7e6de6314c2",
+    "file ep.snap0000.csv":
+        "f6a81c177cd4b4bf0399d401ae4b6bc1973d3fc1ca4aeb6a20ae3db0508a9652",
+    "file ep.weights.csv":
+        "57a07158bf9fa4d87a829c4e6809c83705b23749490db2e070774ee816f8e2bb",
     "file fn.field.csv":
         "c5ae3d80654927dd0e1167d82aa99ef63c288af637564e3340cdd02bac7b92d3",
     "file fn.field.svg":
@@ -181,6 +211,20 @@ EXPECTED = {
         "b1c49ee328675d46fad1469defb9fc825da126df1f58dac727b9fad288775427",
     "file raw.manifest.json":
         "20a87d6aedc8e15aa0ecb20b5f79e1af58ea8d19f003301cf9d1536e718292b2",
+    "file rnd.curves.svg":
+        "b5317eff7f55e5aced85fb45e28d2329bb8212d79c66b1ddb3b7bff966948bc1",
+    "file rnd.epochs.csv":
+        "a720551fa8a83a4baafee9f560334007fa87d470eb65b501862b26743e108e3b",
+    "file rnd.epochs.json":
+        "8ed586c4a755f5dcd6889a1a1ceea134dc620bae9d27873104bd34574f115370",
+    "file rnd.manifest.json":
+        "0cccb2934836e28fd166b95b591f6a7e2787dbce941a695382b7e352b9fe981a",
+    "file rnd.snap0000.csv":
+        "3ad6a32d61ca34e6da245710bc516ca54ff6b3ece363872ac1b52f35fa824953",
+    "file rnd.snap0001.csv":
+        "006daad0c4fd5d2c5d1a10a6652674697416e84195080c874bdd6ff57d91fbe7",
+    "file rnd.weights.csv":
+        "3789ee0729c6b750683d6089a9e8702035ab2b44e9ebbdcf9d4e79b2e6f899a6",
     "file sct.curves.svg":
         "f1d5ca5ffafdc719c35e60d8e090ca5dc88431f4b32ba7a7d7d65e6cfb37eeac",
     "file sct.epochs.csv":

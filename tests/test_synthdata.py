@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tripletlab.geometry import DegenerateVectorError
 from tripletlab.synthdata import (
+    MAX_CELLS,
     DatasetConfig,
     DatasetParseError,
     generate,
@@ -74,6 +76,14 @@ class TestGenerate:
         for spread in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 DatasetConfig(4, 4, 8, spread, 0)
+        # refused before anything is allocated
+        with pytest.raises(ValueError, match=str(MAX_CELLS)):
+            DatasetConfig(4, 4, MAX_CELLS // 16 + 1, 0.5, 0)
+
+    @pytest.mark.filterwarnings("error")  # no overflow RuntimeWarning
+    def test_overflowing_spread_refused(self):
+        with pytest.raises(DegenerateVectorError, match="spread overflows"):
+            generate(DatasetConfig(3, 3, 4, 1e308, 0))
 
 
 class TestSaveLoad:

@@ -6,6 +6,7 @@ from tripletlab.losses import LossKind, LossSpec, loss_value
 from tripletlab.mining import MinedTriplet, MiningStrategy
 from tripletlab.synthdata import DatasetConfig, generate
 from tripletlab.trainer import (
+    MAX_EMBED_DIM,
     GradMode,
     ModelParams,
     TrainConfig,
@@ -249,6 +250,11 @@ class TestTrain:
     def test_learning_rate_validation(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("dim", [1, MAX_EMBED_DIM + 1])
+    def test_embed_dim_validation(self, dim):
+        with pytest.raises(ValueError, match="embed_dim"):
+            TrainConfig(embed_dim=dim)
 
     def test_too_few_classes_rejected(self):
         ds = small_dataset()
