@@ -175,8 +175,9 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
               + ([len(batch) - size[anchors]] if random_n else []))
     # a row per anchor: the positive's draw, then the negative's
     counts = np.array(counts, np.int64).T
+    drawn = (counts > 1).any()
     draws = (np.random.default_rng(seed).integers(0, counts)
-             if (counts > 1).any() else np.zeros_like(counts))
+             if drawn else np.zeros_like(counts))
     positive = np.empty_like(anchors)
     negative = np.empty_like(anchors)
     for lo in range(0, anchors.size, _BLOCK_ROWS):
@@ -186,8 +187,8 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
         neg = labels[rows, None] != labels
         pos = ~neg
         pos[np.arange(rows.size), rows] = False
-        if random_p:
-            p = _nth(pos, draws[part, 0])
+        if random_p:  # with nothing drawn, the first eligible column
+            p = _nth(pos, draws[part, 0]) if drawn else pos.argmax(axis=1)
         else:
             p = _argmax_where(row_sims, pos)
         if random_n:

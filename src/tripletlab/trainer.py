@@ -165,16 +165,17 @@ def backward(
     return xs.T @ grad_z
 
 
-def _sample_batch(
-    rng: np.random.Generator,
-    members: dict[int, np.ndarray],
-    classes_per_batch: int,
-) -> np.ndarray:
-    class_ids = np.asarray(sorted(members.keys()))
-    chosen = rng.choice(class_ids, size=classes_per_batch, replace=False)
-    pairs = [members[c][rng.choice(members[c].size, size=2, replace=False)]
-             for c in chosen.tolist()]
-    return np.concatenate(pairs)
+def _sample_batch(rng: np.random.Generator, rows: np.ndarray,
+                  start: np.ndarray, size: np.ndarray,
+                  classes_per_batch: int) -> np.ndarray:
+    """Two of rows[start[c]:][:size[c]] for classes_per_batch distinct c. One
+    call draws what rng.choice(n, 2, replace=False) would: Floyd's d0 < n-1,
+    d1 < n (n-1 if d1 == d0), then d2 < 2, which swaps the pair when 0."""
+    chosen = rng.choice(size.size, size=classes_per_batch, replace=False)
+    n = size[chosen]
+    d0, d1, d2 = rng.integers(0, np.column_stack([n - 1, n, 0 * n + 2])).T
+    d1 = np.where(d1 == d0, n - 1, d1)
+    return rows[(start[chosen] + np.where(d2, (d0, d1), (d1, d0))).T.ravel()]
 
 
 def train(
@@ -189,15 +190,12 @@ def train(
     last batch's mined triplets with indices remapped to dataset rows.
     Raises DegenerateVectorError when training diverges.
     """
-    classes = np.unique(dataset.labels)
-    if classes.size < config.classes_per_batch:
-        raise ValueError(
-            "dataset has fewer classes than classes_per_batch"
-        )
-    members = {
-        int(c): np.flatnonzero(dataset.labels == c) for c in classes
-    }
-    if any(m.size < 2 for m in members.values()):
+    rows = np.argsort(dataset.labels, kind="stable")
+    _, start, size = np.unique(dataset.labels[rows], return_index=True,
+                               return_counts=True)
+    if size.size < config.classes_per_batch:
+        raise ValueError("dataset has fewer classes than classes_per_batch")
+    if (size < 2).any():
         raise ValueError("every class needs at least 2 members for sampling")
     n = len(dataset)
     batches = config.batches_per_epoch or max(
@@ -212,7 +210,8 @@ def train(
         # two members of each drawn class: every item anchors a triplet
         losses, hard = [], []
         for _ in range(batches):
-            idx = _sample_batch(rng, members, config.classes_per_batch)
+            idx = _sample_batch(rng, rows, start, size,
+                                config.classes_per_batch)
             xs = dataset.points[idx]
             feats = embed(params, xs)
             batch = Batch(embeddings=feats, labels=dataset.labels[idx])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletlab.geometry import TripletCoord
 from tripletlab.losses import LossKind, LossSpec, loss_value
@@ -171,22 +173,71 @@ class TestBackward:
             )
 
 
+def class_index(labels):
+    """The sampler's class index: rows sorted by class, starts and sizes."""
+    rows = np.argsort(labels, kind="stable")
+    _, start, size = np.unique(labels[rows], return_index=True,
+                               return_counts=True)
+    return rows, start, size
+
+
+def choice_sampler(rng, members, classes_per_batch):
+    """Oracle: the per-class sampler, one Generator.choice call per class."""
+    class_ids = np.asarray(sorted(members.keys()))
+    chosen = rng.choice(class_ids, size=classes_per_batch, replace=False)
+    return np.concatenate(
+        [members[c][rng.choice(members[c].size, size=2, replace=False)]
+         for c in chosen.tolist()]
+    )
+
+
 class TestSampler:
     def test_two_per_class_no_repeats(self):
         ds = small_dataset()
-        members = {
-            int(c): np.flatnonzero(ds.labels == c)
-            for c in np.unique(ds.labels)
-        }
+        rows, start, size = class_index(ds.labels)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            idx = _sample_batch(rng, members, classes_per_batch=3)
+            idx = _sample_batch(rng, rows, start, size, classes_per_batch=3)
             assert len(idx) == 6
             labels = ds.labels[idx]
             values, counts = np.unique(labels, return_counts=True)
             assert len(values) == 3
             assert np.all(counts == 2)
             assert len(np.unique(idx)) == 6
+
+
+@st.composite
+def labelled_classes(draw):
+    """Shuffled labels of 2-12 classes with non-contiguous ids and unequal
+    sizes 2-300 (size 2 has a one-value first draw), and per batch a
+    classes-per-batch count from 2 to all classes."""
+    sizes = draw(st.lists(st.integers(2, 300), min_size=2, max_size=12))
+    ids = draw(st.lists(st.integers(-1000, 1000), min_size=len(sizes),
+                        max_size=len(sizes), unique=True))
+    labels = np.repeat(np.asarray(ids), sizes)
+    np.random.default_rng(draw(st.integers(0, 2**32 - 1))).shuffle(labels)
+    per_batch = draw(st.lists(st.integers(2, len(sizes)), min_size=1,
+                              max_size=6))
+    return labels, per_batch
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=labelled_classes(), seed=st.integers(0, 2**63 - 1))
+def test_sampler_matches_per_class_choice(case, seed):
+    """The one-call sampler returns the rows of per-class Generator.choice
+    draws and leaves the generator in the same state after every batch,
+    starting with half of a 64-bit output pending."""
+    labels, per_batch = case
+    members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+    index = class_index(labels)
+    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (want, got):
+        rng.integers(7)  # one 32-bit draw: the other half stays pending
+        assert rng.bit_generator.state["has_uint32"] == 1
+    for k in per_batch:
+        expected = choice_sampler(want, members, k)
+        assert np.array_equal(_sample_batch(got, *index, k), expected)
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestTrain:
