@@ -9,8 +9,9 @@ manifest and verifies the checksums still match.
 
 Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
 2 an unreadable, malformed or non-finite input file or manifest; 3 a zero
-vector, divergence, a non-finite field or trajectory step, or generated
-data that overflows. A refusal writes no manifest.
+vector, divergence, an overflowing epoch mean loss, a non-finite field or
+trajectory step, or generated data that overflows. A refusal writes no
+manifest.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ ties ranking the lower gallery index first. Nothing is sorted: a query
 hits iff fewer than K items rank ahead of its best same-label item (the
 masked argmax, lowest index on ties), "ahead" meaning a larger
 similarity, or an equal one at a lower index.
+
+Similarities are computed in blocks of 256 query rows and never as an
+n x n matrix. Up to 256 points are one block, the same single product as
+a whole-matrix one; more points may differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mining import (_BLOCK_ROWS, Batch, MiningStrategy, NoNegativesError,
-                     Triplets, mine, similarity_matrix)
+from .mining import (Batch, MiningStrategy, NoNegativesError, Triplets,
+                     _row_blocks, mine)
 
 
 class RetrievalResult(NamedTuple):
@@ -45,13 +49,11 @@ def recall_at_k(
             )
         if n_g <= k:
             raise ValueError("gallery size must exceed k when excluding self")
-    sims = queries.embeddings @ gallery.embeddings.T
-    if exclude_self:
-        np.fill_diagonal(sims, -np.inf)
     hits = 0
-    for lo in range(0, n_q, _BLOCK_ROWS):  # temporaries: _BLOCK_ROWS x n_g
-        block = sims[lo:lo + _BLOCK_ROWS]
-        same = queries.labels[lo:lo + _BLOCK_ROWS, None] == gallery.labels
+    for lo, block in _row_blocks(queries.embeddings, gallery.embeddings):
+        if exclude_self:  # query lo + r is gallery item lo + r
+            np.fill_diagonal(block[:, lo:], -np.inf)
+        same = queries.labels[lo:lo + len(block), None] == gallery.labels
         masked = np.where(same, block, -np.inf)  # the excluded self is -inf
         top = masked.argmax(axis=1)[:, None]
         best = np.take_along_axis(masked, top, axis=1)  # -inf: no match
@@ -64,8 +66,11 @@ def recall_at_k(
 def collapse_metric(batch: Batch) -> float:
     """Mean off-diagonal pairwise cosine; 1.0 means fully collapsed."""
     n = len(batch)
-    sims = similarity_matrix(batch)
-    return float((sims.sum() - np.trace(sims)) / (n * (n - 1)))
+    total = 0.0
+    for lo, block in _row_blocks(batch.embeddings, batch.embeddings):
+        np.clip(block, -1.0, 1.0, out=block)
+        total += block.sum() - np.trace(block, offset=lo)
+    return float(total / (n * (n - 1)))
 
 
 def diagram_extract(batch: Batch) -> Triplets:

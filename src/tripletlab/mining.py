@@ -4,10 +4,11 @@ A batch is a set of unit embeddings with class labels. Each strategy emits
 one triplet per eligible anchor (an anchor is eligible when its class has a
 second member; singleton-class anchors are skipped). Selection is a masked
 argmax (or argmin) over label-masked rows of the batch similarity matrix,
-so ties are always broken toward the lowest index. Random picks come from
-the caller's seed: one uniform draw per eligible anchor and random role,
-in anchor order, with the positive drawn before the negative under
-``random``. Mining is a pure function of (batch, strategy, seed).
+computed one block of rows at a time, so ties are always broken toward
+the lowest index. Random picks come from the caller's seed: one uniform
+draw per eligible anchor and random role, in anchor order, with the
+positive drawn before the negative under ``random``. Mining is a pure
+function of (batch, strategy, seed).
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ __all__ = [
     "similarity_matrix",
 ]
 
-# anchor rows per masked pass: temporaries stay _BLOCK_ROWS x n, so a
-# large batch never holds a second n x n array next to its similarities
+# query rows per similarity block: products and temporaries stay
+# _BLOCK_ROWS x n and no n x n array is built. Up to _BLOCK_ROWS rows are
+# one block, the same single product as a whole-matrix one; more rows may
+# differ from a whole-matrix product in the last bits.
 _BLOCK_ROWS = 256
 
 
@@ -131,6 +134,13 @@ def similarity_matrix(batch: Batch) -> np.ndarray:
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
+def _row_blocks(queries: np.ndarray,
+                gallery: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, queries[lo:lo + _BLOCK_ROWS] @ gallery.T) for each block."""
+    for lo in range(0, queries.shape[0], _BLOCK_ROWS):
+        yield lo, queries[lo:lo + _BLOCK_ROWS] @ gallery.T
+
+
 def _argmax_where(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Column of each row's largest value under mask (lowest on ties)."""
     return np.where(mask, values, -np.inf).argmax(axis=1)
@@ -162,7 +172,6 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     ordered = np.sort(labels)
     if ordered[0] == ordered[-1]:
         raise NoNegativesError("batch contains a single class; no negatives")
-    sims = similarity_matrix(batch)
     # each item's class size: the span of its label in the sorted labels
     size = (np.searchsorted(ordered, labels, "right")
             - np.searchsorted(ordered, labels, "left"))
@@ -180,30 +189,37 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
              if drawn else np.zeros_like(counts))
     positive = np.empty_like(anchors)
     negative = np.empty_like(anchors)
-    for lo in range(0, anchors.size, _BLOCK_ROWS):
-        part = slice(lo, lo + _BLOCK_ROWS)
+    s_ap = np.empty(anchors.shape)
+    s_an = np.empty(anchors.shape)
+    emb = batch.embeddings
+    for lo, block in _row_blocks(emb, emb):
+        np.clip(block, -1.0, 1.0, out=block)
+        # the anchors among this block's rows
+        part = slice(anchors.searchsorted(lo),
+                     anchors.searchsorted(lo + len(block)))
         rows = anchors[part]
-        row_sims = sims[rows]
+        row_sims = block[rows - lo]
+        each = np.arange(rows.size)
         neg = labels[rows, None] != labels
         pos = ~neg
-        pos[np.arange(rows.size), rows] = False
+        pos[each, rows] = False
         if random_p:  # with nothing drawn, the first eligible column
             p = _nth(pos, draws[part, 0]) if drawn else pos.argmax(axis=1)
         else:
             p = _argmax_where(row_sims, pos)
+        s_ap[part] = row_sims[each, p]
         if random_n:
             n = _nth(neg, draws[part, -1])
         elif strategy == MiningStrategy.SEMI_HARD_NEGATIVE:
-            s_ap = row_sims[np.arange(rows.size), p]
-            feasible = neg & (row_sims < s_ap[:, None])
+            feasible = neg & (row_sims < s_ap[part, None])
             n = np.where(feasible.any(axis=1),
                          _argmax_where(row_sims, feasible),
                          _argmax_where(-row_sims, neg))
         else:
             n = _argmax_where(row_sims, neg)
         positive[part], negative[part] = p, n
-    return Triplets(anchors, positive, negative,
-                    sims[anchors, positive], sims[anchors, negative])
+        s_an[part] = row_sims[each, n]
+    return Triplets(anchors, positive, negative, s_ap, s_an)
 
 
 def hard_fraction(triplets: Iterable[MinedTriplet]) -> float:

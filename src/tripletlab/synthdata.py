@@ -92,9 +92,9 @@ def generate(config: DatasetConfig) -> LabeledDataset:
     noise = rng.standard_normal(
         (config.num_classes, config.per_class, config.input_dim)
     ) / np.sqrt(config.input_dim)
-    points = centers[:, None, :] + config.intra_spread * noise
-    points = points.reshape(-1, config.input_dim)
     with np.errstate(over="ignore", invalid="ignore"):
+        points = centers[:, None, :] + config.intra_spread * noise
+        points = points.reshape(-1, config.input_dim)
         norms = np.linalg.norm(points, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise DegenerateVectorError(

@@ -188,7 +188,8 @@ def train(
     recall@1 (self excluded) and mean off-diagonal similarity over the
     full dataset embedding. Every snapshot_every epochs the log keeps the
     last batch's mined triplets with indices remapped to dataset rows.
-    Raises DegenerateVectorError when training diverges.
+    Raises DegenerateVectorError when training diverges or an epoch's
+    mean loss overflows.
     """
     rows = np.argsort(dataset.labels, kind="stable")
     _, start, size = np.unique(dataset.labels[rows], return_index=True,
@@ -227,10 +228,14 @@ def train(
         all_feats = embed(params, dataset.points)
         full = Batch(embeddings=all_feats, labels=dataset.labels)
         result = recall_at_k(full, full, k=1, exclude_self=True)
+        with np.errstate(over="ignore"):
+            mean_loss = float(np.mean(np.concatenate(losses)))
+        if not np.isfinite(mean_loss):  # finite losses, an overflowing sum
+            raise DegenerateVectorError("the epoch's mean loss overflows")
         logs.append(
             EpochLog(
                 epoch=epoch,
-                mean_loss=float(np.mean(np.concatenate(losses))),
+                mean_loss=mean_loss,
                 hard_fraction=float(np.mean(np.concatenate(hard))),
                 recall_at_1=result.recall,
                 collapse=collapse_metric(full),

@@ -6,6 +6,8 @@ renormalizes, and re-measures similarities. It never touches the
 closed-form step code, so the two routes check each other.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,14 @@ def sphere_step_oracle(
         s_ap_new / (norm_a * norm_p) - s_ap,
         s_an_new / (norm_a * norm_n) - s_an,
     )
+
+
+# the 24 unit vectors of R^4 with components in {0, +-1/2, +-1}: their
+# products are exact, so a similarity product split into row blocks has
+# the same bits as a whole-matrix one, and exact ties stay exact
+EXACT_UNIT_ROWS = [v for v in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0),
+                                                repeat=4)
+                   if sum(x * x for x in v) == 1.0]
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletlab.cli import main
 
@@ -292,6 +298,8 @@ def _train(data, *flags):
     pytest.param(_train("{d}/data.csv", "--lr", "nan"), 1, id="lr nan"),
     pytest.param(_train("{d}/data.csv", "--lr", "1e200"), 3,
                  id="divergence"),
+    pytest.param(_train("{d}/data.csv", "--loss", "margin", "--margin",
+                        "1e308"), 3, id="mean loss overflow"),
     pytest.param(gen_args(out="n.csv", spread="nan"), 1, id="spread nan"),
     pytest.param(["simulate", "--gamma", "nan", "--out-prefix", "f"], 1,
                  id="gamma nan"),
@@ -317,6 +325,10 @@ def _train(data, *flags):
                  id="trajectory last point"),
     pytest.param(gen_args(out="o.csv", classes=3, per_class=3, dim=4,
                           spread=1e308), 3, id="spread overflow"),
+    # at seed 3 the spread times the noise overflows before the norm does
+    pytest.param(gen_args(out="o.csv", classes=3, per_class=3, dim=3,
+                          spread=1e308) + ["--seed", "3"], 3,
+                 id="spread overflow in the product"),
     pytest.param(gen_args(out="o.csv", classes=2, per_class=2,
                           dim=2**22 + 1), 1, id="gen-data cells above bound"),
     pytest.param(["simulate", "--resolution", "1002", "--out-prefix", "f"], 1,
@@ -367,3 +379,103 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(r"tripletlab: \w+ error: ", err[0]), err
     assert sorted(outdir.rglob("*")) == before
+
+
+# float flags get non-finite, overflowing, negative and ordinary values
+REALS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-1", "0"]),
+    st.floats(-2.0, 2.0).map(repr),
+)
+LOSSES = st.sampled_from(["nca", "margin"])
+
+
+def sizes(*refused):
+    """A size flag: a small value, or one its bound refuses before
+    anything is allocated."""
+    small = st.integers(-2, 3)
+    return (small | st.sampled_from(refused) if refused else small).map(str)
+
+
+# per command: the flags of a tiny valid run, and what each flag may draw
+ADVERSARIAL_COMMANDS = {
+    "gen-data": (
+        dict(classes=3, per_class=3, dim=3, spread=0.5, out="g.csv"),
+        dict(classes=sizes(2**40), per_class=sizes(2**40),
+             dim=sizes(2**40), spread=REALS, seed=sizes()),
+    ),
+    "simulate": (
+        dict(resolution=5, out_prefix="f"),
+        dict(loss=LOSSES, p=REALS, gamma=REALS, beta_scale=REALS,
+             margin=REALS, resolution=sizes(1002, 10**9)),
+    ),
+    "trajectory": (
+        dict(start_sap=0.3, start_san=0.5, steps=3, out_prefix="t"),
+        dict(loss=LOSSES, start_sap=REALS, start_san=REALS, p=REALS,
+             gamma=REALS, beta_scale=REALS, margin=REALS,
+             steps=sizes(1_000_001, 10**12)),
+    ),
+    "train": (
+        dict(data="{data}", epochs=1, classes_per_batch=2, embed_dim=2,
+             batches_per_epoch=2, out_prefix="r"),
+        dict(loss=st.sampled_from(["nca", "margin", "sct"]),
+             miner=st.sampled_from(["random", "hn", "shn", "ep", "ephn"]),
+             lr=REALS, margin=REALS, epochs=sizes(),
+             classes_per_batch=sizes(), embed_dim=sizes(1025, 10**9),
+             seed=sizes(), snapshot_every=sizes(),
+             batches_per_epoch=sizes(), **{"lambda": REALS}),
+    ),
+}
+
+
+@st.composite
+def adversarial_argv(draw):
+    """A tiny valid run with one to three flags drawn adversarially, each
+    written as --flag=value so that values such as -inf are not read as
+    flags."""
+    name = draw(st.sampled_from(sorted(ADVERSARIAL_COMMANDS)))
+    valid, drawn = ADVERSARIAL_COMMANDS[name]
+    flags = dict(valid)
+    for flag in draw(st.lists(st.sampled_from(sorted(drawn)), min_size=1,
+                              max_size=3)):
+        flags[flag] = draw(drawn[flag])
+    return [name] + [f"--{flag.replace('_', '-')}={value}"
+                     for flag, value in flags.items()]
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TRIPLETLAB_OUT", str(out))
+        assert main(gen_args(classes=4, per_class=3, dim=3)) == 0
+    return out / "data.csv"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=adversarial_argv())
+def test_adversarial_flags_exit_cleanly(small_dataset, argv):
+    """NaN, +-inf, 1e308 and negative flag values: a documented exit code,
+    no traceback and no warning, one error line on a refusal (which
+    writes nothing), and no nan or inf token after an exit 0."""
+    argv = [arg.format(data=small_dataset) for arg in argv]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TRIPLETLAB_OUT", out)
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")  # a warning is a second line
+            code = main(argv)
+        written = sorted(Path(out).iterdir())
+        texts = {path.name: path.read_text() for path in written}
+    err = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        assert len(err) == 1, (argv, err)
+        assert re.match(r"tripletlab: \w+ error: ", err[0]), (argv, err)
+        assert not written, (argv, written)
+    else:
+        assert err == [], (argv, err)
+        for name, text in texts.items():
+            assert not re.search(r"\b(?:nan|inf|infinity)\b", text, re.I), \
+                (argv, name)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripletlab import mining
 from tripletlab.evaluation import (
     collapse_metric,
     diagram_extract,
@@ -11,7 +12,7 @@ from tripletlab.evaluation import (
 from tripletlab.losses import is_hard
 from tripletlab.mining import Batch
 
-from conftest import random_unit
+from conftest import EXACT_UNIT_ROWS, random_unit
 
 
 def random_labeled_batch(rng, n, dim=6, classes=5):
@@ -94,14 +95,16 @@ class TestRecallAtK:
 
 
 @st.composite
-def retrieval_cases(draw):
+def retrieval_cases(draw, exact=False):
     """Queries and a gallery of 2-30 rows with small-integer components,
     so similarities tie exactly, and 1-6 labels each, so classes can be
     singletons. The gallery is the query set (self excluded or not) or a
     distinct set, whose labels may miss some of the queries'. k runs up
-    to past the gallery size when self is not excluded."""
+    to past the gallery size when self is not excluded. With exact, rows
+    come from EXACT_UNIT_ROWS, whose products are exact."""
     dim = draw(st.integers(1, 3))
-    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    vector = (st.sampled_from(EXACT_UNIT_ROWS) if exact else
+              st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
 
     def batch():
         n = draw(st.integers(2, 30))
@@ -121,14 +124,23 @@ def retrieval_cases(draw):
     return queries, gallery, draw(st.integers(1, top_k)), exclude_self
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=retrieval_cases())
-def test_recall_matches_brute_force_with_ties(case):
-    queries, gallery, k, exclude_self = case
+def check_recall_against_brute_force(queries, gallery, k, exclude_self):
     got = recall_at_k(queries, gallery, k, exclude_self)
     assert got.recall == brute_force_recall(queries, gallery, k,
                                             exclude_self)
     assert got.num_queries == len(queries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=retrieval_cases(), exact=retrieval_cases(exact=True))
+def test_recall_matches_brute_force_with_ties(case, exact):
+    """The exact case runs in blocks of 3 rows, where query lo + r
+    is excluded at column lo + r of its block; its products are exact, so
+    the blocks keep the whole-matrix product's bits."""
+    check_recall_against_brute_force(*case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining, "_BLOCK_ROWS", 3)
+        check_recall_against_brute_force(*exact)
 
 
 class TestCollapseMetric:
@@ -146,6 +158,18 @@ class TestCollapseMetric:
             embeddings=np.array([[1.0, 0.0], [-1.0, 0.0]]), labels=[0, 1]
         )
         assert collapse_metric(batch) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 255, 256])
+    def test_matches_whole_matrix_formula(self, rng, n):
+        """Bit for bit in one block; to 1e-15 in blocks of 3 rows, where
+        each block's diagonal starts at column lo."""
+        batch = random_labeled_batch(rng, n, dim=4)
+        sims = np.clip(batch.embeddings @ batch.embeddings.T, -1.0, 1.0)
+        expected = float((sims.sum() - np.trace(sims)) / (n * (n - 1)))
+        assert collapse_metric(batch) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mining, "_BLOCK_ROWS", 3)
+            assert abs(collapse_metric(batch) - expected) <= 1e-15
 
 
 class TestDiagramExtract:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripletlab import mining
 from tripletlab.evaluation import diagram_extract
 from tripletlab.geometry import TripletCoord
 from tripletlab.mining import (
@@ -16,7 +17,7 @@ from tripletlab.mining import (
     similarity_matrix,
 )
 
-from conftest import random_unit
+from conftest import EXACT_UNIT_ROWS, random_unit
 
 
 def random_batch(rng, n, dim=4, classes=3):
@@ -95,12 +96,14 @@ def brute_force_diagram(batch):
 
 
 @st.composite
-def tied_batches(draw):
+def tied_batches(draw, exact=False):
     """2-40 rows with 1-6 labels. Components are small integers, so rows
-    repeat and distinct rows share similarities: ties are exact."""
+    repeat and distinct rows share similarities: ties are exact. With
+    exact, rows come from EXACT_UNIT_ROWS, whose products are exact."""
     n = draw(st.integers(2, 40))
     dim = draw(st.integers(2, 3))
-    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    vector = (st.sampled_from(EXACT_UNIT_ROWS) if exact else
+              st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
     rows = draw(st.lists(vector.filter(any), min_size=n, max_size=n))
     labels = draw(st.lists(st.integers(0, draw(st.integers(0, 5))),
                            min_size=n, max_size=n))
@@ -228,11 +231,21 @@ class TestMine:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(batch=tied_batches(), seed=st.integers(0, 2**32 - 1))
-def test_mining_and_diagram_match_brute_force_with_ties(batch, seed):
+@given(batch=tied_batches(), exact=tied_batches(exact=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_mining_and_diagram_match_brute_force_with_ties(batch, exact, seed):
     """Random batches with singleton classes and exact ties: every miner
     matches brute_force_mine, diagram_extract matches a double loop, and a
-    single-class batch has no negatives."""
+    single-class batch has no negatives. The exact batch runs in blocks
+    of 3 rows, which split the anchors across blocks; its products
+    are exact, so the blocks keep the whole-matrix product's bits."""
+    check_mining_against_brute_force(batch, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining, "_BLOCK_ROWS", 3)
+        check_mining_against_brute_force(exact, seed)
+
+
+def check_mining_against_brute_force(batch, seed):
     if len(np.unique(batch.labels)) < 2:
         for strategy in MiningStrategy:
             with pytest.raises(NoNegativesError):
