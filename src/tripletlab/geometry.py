@@ -9,8 +9,9 @@ what makes diagram-space simulation possible at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,38 @@ class TripletCoord(NamedTuple):
 
     s_ap: float
     s_an: float
+
+
+class Elementwise(NamedTuple):
+    """The elementwise primitives the diagram formulas are written in."""
+
+    sqrt: Callable
+    relu: Callable  # max(x, 0); NaN stays NaN
+    where: Callable  # where(cond, a, b)
+    exp: Callable
+
+
+_ARRAY_OPS = Elementwise(np.sqrt, lambda x: np.maximum(x, 0.0), np.where,
+                         np.exp)
+# numpy's bits on Python floats. math.sqrt is correctly rounded, as np.sqrt
+# is. relu keeps np.maximum's NaN and its 0.0 for -0.0. exp stays numpy's:
+# glibc's math.exp differs from it in the last bit on about one argument
+# in twenty in [-2, 0].
+_FLOAT_OPS = Elementwise(math.sqrt, lambda x: 0.0 if x <= 0.0 else x,
+                         lambda cond, a, b: a if cond else b,
+                         lambda x: float(np.exp(x)))
+
+
+def elementwise(coord: TripletCoord) -> Elementwise:
+    """The primitives for a diagram point: Python-float ones when both
+    coordinates are Python floats, numpy's for arrays or a mix.
+
+    A formula written in them serves a point of floats without building
+    numpy scalars (bar exp), and arrays of points, with the same bits.
+    """
+    if type(coord.s_ap) is float and type(coord.s_an) is float:
+        return _FLOAT_OPS
+    return _ARRAY_OPS
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -129,6 +162,7 @@ def s_pn_from(coord: TripletCoord, gamma_value: float) -> float:
     s_pn = s_ap * s_an + gamma * sqrt(1 - s_ap^2) * sqrt(1 - s_an^2),
     with radicands clamped at zero; elementwise over coordinate arrays.
     """
-    rad_ap = np.maximum(1.0 - coord.s_ap * coord.s_ap, 0.0)
-    rad_an = np.maximum(1.0 - coord.s_an * coord.s_an, 0.0)
-    return coord.s_ap * coord.s_an + gamma_value * np.sqrt(rad_ap * rad_an)
+    ops = elementwise(coord)
+    rad_ap = ops.relu(1.0 - coord.s_ap * coord.s_ap)
+    rad_an = ops.relu(1.0 - coord.s_an * coord.s_an)
+    return coord.s_ap * coord.s_an + gamma_value * ops.sqrt(rad_ap * rad_an)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord, TripletFeatures
+from .geometry import TripletCoord, TripletFeatures, elementwise
 
 
 class LossKind(str, Enum):
@@ -88,9 +88,10 @@ def softmax_weight(coord: TripletCoord) -> float:
     """
     # sigma = sigmoid(x): 1 / (1 + exp(-x)) for x >= 0 and
     # exp(x) / (1 + exp(x)) below, one exp(-|x|) serving both
+    ops = elementwise(coord)
     x = coord.s_an - coord.s_ap
-    t = np.exp(-abs(x))
-    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+    t = ops.exp(-abs(x))
+    return ops.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def hinge_argument(coord: TripletCoord, margin: float) -> float:

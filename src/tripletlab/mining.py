@@ -198,7 +198,9 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
         part = slice(anchors.searchsorted(lo),
                      anchors.searchsorted(lo + len(block)))
         rows = anchors[part]
-        row_sims = block[rows - lo]
+        # a block whose rows all anchor, as in every training batch, is
+        # its own anchor rows: no copy
+        row_sims = block if rows.size == len(block) else block[rows - lo]
         each = np.arange(rows.size)
         neg = labels[rows, None] != labels
         pos = ~neg

@@ -338,3 +338,88 @@ def test_array_step_equals_scalar_step_bit_for_bit(case):
         assert column.shape == scalar.shape
         assert np.array_equal(column.view(np.uint64),
                               scalar.view(np.uint64)), name
+
+
+def _assert_same_bits(array_upd, scalar_upd):
+    for name, column in zip(array_upd._fields, array_upd):
+        scalar = np.array([getattr(u, name) for u in scalar_upd])
+        assert column.shape == scalar.shape
+        assert np.array_equal(column.view(np.uint64),
+                              scalar.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("s_ap, s_an, params", [
+    # the margin step zeroes the positive at s_ap = -1: a zero norm
+    ([-1.0, -1.0, 0.3], [-0.5, 1.0, 0.6],
+     StepParams(learning_rate=0.25, loss=MARGIN02)),
+    # beta overflows
+    ([0.0, -1.0, 1.0, 0.4], [0.5, 1.0, 1.0, -0.7],
+     StepParams(learning_rate=1e308, gamma=-1.0, entanglement_p=2.0)),
+    ([0.0, 0.9], [0.5, -0.9], StepParams(learning_rate=1e308, loss=MARGIN02)),
+    # a mixed float/array point
+    (0.3, [-1.0, -0.2, 0.6, 1.0],
+     StepParams(learning_rate=0.3, gamma=-1.0, entanglement_p=1.0)),
+    ([-1.0, 0.5, 1.0], -0.5,
+     StepParams(learning_rate=0.25, gamma=0.5, loss=MARGIN02)),
+], ids=["zero-norm", "overflow-nca", "overflow-margin", "mixed-nca",
+        "mixed-margin-zero-norm"])
+def test_degenerate_array_step_equals_scalar_step_bit_for_bit(s_ap, s_an,
+                                                              params):
+    """Zero norms, overflow and mixed float/array points, which the
+    random strategy rarely draws: the array step's bits, NaN included,
+    are each point's scalar step's, and no ZeroDivisionError or
+    OverflowError escapes a scalar step."""
+    coord = TripletCoord(*(np.array(c) if isinstance(c, list) else c
+                           for c in (s_ap, s_an)))
+    points = zip(*(c.tolist() for c in np.broadcast_arrays(*coord)))
+    with np.errstate(all="ignore"):
+        array_upd = step(coord, params)
+        scalar_upd = [step(TripletCoord(*pt), params) for pt in points]
+    _assert_same_bits(array_upd, scalar_upd)
+
+
+def _array_rollout(start, params, steps):
+    """trajectory's rollout done on shape-(1,) arrays: the points up to
+    the first non-finite step, and whether every step was finite."""
+    coord = TripletCoord(np.array([start.s_ap]), np.array([start.s_an]))
+    points = [start]
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            upd = step(coord, params)
+            d_sap, d_san = upd.d_sap_total, upd.d_san_total
+            if not (np.isfinite(d_sap).all() and np.isfinite(d_san).all()):
+                return points, False
+            coord = TripletCoord(
+                np.minimum(np.maximum(coord.s_ap + d_sap, -1.0), 1.0),
+                np.minimum(np.maximum(coord.s_an + d_san, -1.0), 1.0))
+            points.append(TripletCoord(*(float(c[0]) for c in coord)))
+    return points, True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.tuples(_UNIT, _UNIT),
+       kind=st.sampled_from([LossKind.NCA, LossKind.MARGIN]),
+       learning_rate=st.floats(0.0, 2.0), gamma=_UNIT,
+       entanglement_p=st.floats(0.0, 2.0), margin=st.floats(0.0, 1.0),
+       steps=st.integers(1, 40))
+def test_trajectory_equals_array_rollout_bit_for_bit(
+        start, kind, learning_rate, gamma, entanglement_p, margin, steps):
+    """trajectory steps a point of Python floats; the same rollout on
+    shape-(1,) arrays gives its points bit for bit, or fails at the same
+    step. Starts on the square's edges and gamma = +-1 included."""
+    params = StepParams(learning_rate=learning_rate, gamma=gamma,
+                        entanglement_p=entanglement_p,
+                        loss=LossSpec(kind=kind, margin=margin))
+    start = TripletCoord(*start)
+    expected, finite = _array_rollout(start, params, steps)
+    if not finite:
+        with pytest.raises(DegenerateVectorError,
+                           match=f"step {len(expected)} is not finite"):
+            trajectory(start, params, steps)
+        return
+    points = trajectory(start, params, steps)
+    assert all(type(c) is float for pt in points for c in pt)
+    assert (np.array(points).view(np.uint64).tolist()
+            == np.array(expected).view(np.uint64).tolist())
+    # a finite scalar step builds no numpy scalar
+    assert all(type(v) is float for v in step(start, params))

@@ -245,6 +245,21 @@ def test_mining_and_diagram_match_brute_force_with_ties(batch, exact, seed):
         check_mining_against_brute_force(exact, seed)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_blocks_of_anchors_and_of_mixed_rows_match_brute_force(seed):
+    """In blocks of 4 rows, the first and last blocks hold only anchors
+    (mined on the block itself) and the middle one a singleton-class row
+    (mined on a copy of its anchor rows); every miner matches
+    brute_force_mine and diagram_extract the double loop."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(len(EXACT_UNIT_ROWS), size=11)
+    labels = [0, 0, 1, 1, 2, 0, 1, 3, 1, 2, 0]  # 3 is a singleton
+    batch = Batch(embeddings=np.array(EXACT_UNIT_ROWS)[rows], labels=labels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining, "_BLOCK_ROWS", 4)
+        check_mining_against_brute_force(batch, seed)
+
+
 def check_mining_against_brute_force(batch, seed):
     if len(np.unique(batch.labels)) < 2:
         for strategy in MiningStrategy:
