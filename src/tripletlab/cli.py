@@ -2,8 +2,9 @@
 rollout, training, and diagram export.
 
 Every command resolves relative output paths against $TRIPLETLAB_OUT
-(default: the working directory), writes its artifacts plus a JSON run
-manifest with sha256 checksums, and is byte-deterministic given its flags.
+(default: the working directory), writes its artifacts (each CSV from whole
+columns through ``synthdata.write_table``) plus a JSON run manifest with
+sha256 checksums, and is byte-deterministic given its flags.
 ``tripletlab rerun <manifest>`` re-executes a recorded run next to the
 manifest and verifies the checksums still match.
 
@@ -33,13 +34,13 @@ from .losses import LossKind, LossSpec, is_hard
 from .mining import Batch, MiningStrategy, NoNegativesError
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
 from .synthdata import (
-    FLOAT_FMT,
     DatasetConfig,
     DatasetParseError,
     generate,
     load,
     read_table,
     save,
+    write_table,
 )
 from .trainer import GradMode, ModelParams, TrainConfig, embed, train
 
@@ -84,8 +85,8 @@ def _basenames(cfg: dict) -> dict:
             for k, v in cfg.items()}
 
 
-def _triplet_row(t) -> list:
-    return [t.anchor, t.positive, t.negative, t.coord.s_ap, t.coord.s_an]
+def _triplet_columns(t) -> list[np.ndarray]:
+    return [t.anchor, t.positive, t.negative, t.s_ap, t.s_an]
 
 
 class _Artifacts:
@@ -107,13 +108,8 @@ class _Artifacts:
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
 
-    def csv(self, key: str, suffix: str, header: list[str], rows) -> None:
-        """Stream rows to a CSV; floats at 12 significant digits."""
-        with self.path(key, suffix).open("w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(FLOAT_FMT % v if isinstance(v, float)
-                                  else str(v) for v in row) + "\n")
+    def csv(self, key: str, suffix: str, header: list[str], columns) -> None:
+        write_table(self.path(key, suffix), header, columns)
 
     def text(self, key: str, suffix: str, text: str) -> None:
         self.path(key, suffix).write_text(text)
@@ -172,8 +168,8 @@ def run_simulate(cfg: dict, arts: _Artifacts) -> str:
     arts.csv(
         "field_csv", ".field.csv",
         ["s_ap", "s_an", "d_sap", "d_san", "d_sap_total", "d_san_total"],
-        zip(field.s_ap, field.s_an, field.d_sap, field.d_san,
-            field.d_sap_total, field.d_san_total),
+        [field.s_ap, field.s_an, field.d_sap, field.d_san,
+         field.d_sap_total, field.d_san_total],
     )
     arts.text(
         "field_svg", ".field.svg",
@@ -190,20 +186,19 @@ def run_simulate(cfg: dict, arts: _Artifacts) -> str:
 def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
     params = _step_params(cfg)
     start = TripletCoord(cfg["start_sap"], cfg["start_san"])
-    points = trajectory(start, params, cfg["steps"])
+    points = np.array(trajectory(start, params, cfg["steps"]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        upd = step(TripletCoord(*np.array(points).T), params)
+        upd = step(TripletCoord(*points.T), params)
     if not np.isfinite([upd.d_sap_total, upd.d_san_total]).all():
         raise DegenerateVectorError("the step from the trajectory's last "
                                     "point is not finite")
     arts.csv("trajectory_csv", ".trajectory.csv",
              ["s_ap", "s_an", "d_sap", "d_san"],
-             ([*pt, d_sap, d_san] for pt, d_sap, d_san
-              in zip(points, upd.d_sap_total, upd.d_san_total)))
+             [*points.T, upd.d_sap_total, upd.d_san_total])
     arts.text(
         "trajectory_svg", ".trajectory.svg",
         trajectory_path(
-            [(pt.s_ap, pt.s_an) for pt in points],
+            points,
             f"{cfg['loss']} trajectory from "
             f"({cfg['start_sap']:g}, {cfg['start_san']:g})",
         ),
@@ -232,9 +227,9 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
     records = [{c: getattr(log, c) for c in columns} for log in logs]
     arts.text("epochs_json", ".epochs.json", _json_text(records))
     arts.csv("epochs_csv", ".epochs.csv", columns,
-             ([r[c] for c in columns] for r in records))
+             [np.array([r[c] for r in records]) for c in columns])
     arts.csv("weights_csv", ".weights.csv",
-             [f"w{j}" for j in range(params.embed_dim)], params.weight)
+             [f"w{j}" for j in range(params.embed_dim)], params.weight.T)
     arts.text(
         "curves_svg", ".curves.svg",
         line_chart(
@@ -250,7 +245,7 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
         if log.snapshot is not None:
             arts.csv(f"snap_{log.epoch:04d}", f".snap{log.epoch:04d}.csv",
                      ["anchor", "positive", "negative", "s_ap", "s_an"],
-                     map(_triplet_row, log.snapshot))
+                     _triplet_columns(log.snapshot))
     final = logs[-1]
     return (
         f"trained {cfg['epochs']} epochs: recall@1={final.recall_at_1:.4f} "
@@ -275,21 +270,19 @@ def run_diagram(cfg: dict, arts: _Artifacts) -> str:
             raise DegenerateVectorError("dataset contains a zero vector")
         feats = dataset.points / norms
     triplets = diagram_extract(Batch(embeddings=feats, labels=dataset.labels))
-    hard = is_hard(triplets).tolist()
-    arts.csv(
-        "diagram_csv", ".diagram.csv",
-        ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
-        (_triplet_row(t) + [int(h)] for t, h in zip(triplets, hard)),
-    )
+    hard = is_hard(triplets)
+    arts.csv("diagram_csv", ".diagram.csv",
+             ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
+             _triplet_columns(triplets) + [hard])
     arts.text(
         "diagram_svg", ".diagram.svg",
         diagram_scatter(
-            [(t.coord.s_ap, t.coord.s_an, h) for t, h in zip(triplets, hard)],
+            np.column_stack([triplets.s_ap, triplets.s_an, hard]),
             "easiest-positive / hardest-negative diagram",
         ),
     )
-    return (f"extracted {len(triplets)} diagram points ({sum(hard)} hard); "
-            f"wrote")
+    return (f"extracted {len(triplets)} diagram points "
+            f"({np.count_nonzero(hard)} hard); wrote")
 
 
 def _execute(commands: dict, command: str, cfg: dict, ctx: PathContext):

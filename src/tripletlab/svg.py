@@ -22,6 +22,7 @@ SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 _ARROW = ('<path d="M%.2f %.2f L%.2f %.2f M%.2f %.2f L%.2f %.2f L%.2f %.2f" '
           f'stroke="{EASY_COLOR}" fill="none" stroke-width="1"/>')
 _DOT = '<circle cx="%.2f" cy="%.2f" r="0.8" fill="gray"/>'
+_POINT = '<circle cx="%.2f" cy="%.2f" r="3" fill="%s" fill-opacity="0.6"/>'
 
 
 def _f(x: float) -> str:
@@ -89,13 +90,11 @@ def diagram_scatter(
     points: Sequence[tuple[float, float, bool]], title: str
 ) -> str:
     """Scatter of (s_ap, s_an, hard) diagram points; hard drawn in red."""
+    s_ap, s_an, hard = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+    colors = [HARD_COLOR if h else EASY_COLOR for h in hard.tolist()]
     body = _square_axes("s_ap", "s_an")
-    for s_ap, s_an, hard in points:
-        color = HARD_COLOR if hard else EASY_COLOR
-        body.append(
-            f'<circle cx="{_f(_sq_x(s_ap))}" cy="{_f(_sq_y(s_an))}" '
-            f'r="3" fill="{color}" fill-opacity="0.6"/>'
-        )
+    body += map(_POINT.__mod__,
+                zip(_sq_x(s_ap).tolist(), _sq_y(s_an).tolist(), colors))
     return _document(body, title)
 
 
@@ -143,25 +142,17 @@ def trajectory_path(
     points: Sequence[tuple[float, float]], title: str
 ) -> str:
     """Polyline through diagram points; start marked green, end red."""
+    s_ap, s_an = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
+    xy = list(zip(_sq_x(s_ap).tolist(), _sq_y(s_an).tolist()))
+    coords = " ".join(map("%.2f,%.2f".__mod__, xy))
     body = _square_axes("s_ap", "s_an")
-    coords = " ".join(
-        f"{_f(_sq_x(x))},{_f(_sq_y(y))}" for x, y in points
-    )
     body.append(
         f'<polyline points="{coords}" fill="none" stroke="{EASY_COLOR}" '
         f'stroke-width="1.5"/>'
     )
-    if points:
-        x0, y0 = points[0]
-        x1, y1 = points[-1]
-        body.append(
-            f'<circle cx="{_f(_sq_x(x0))}" cy="{_f(_sq_y(y0))}" r="4" '
-            f'fill="#2ca02c"/>'
-        )
-        body.append(
-            f'<circle cx="{_f(_sq_x(x1))}" cy="{_f(_sq_y(y1))}" r="4" '
-            f'fill="{HARD_COLOR}"/>'
-        )
+    if xy:
+        mark = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s"/>'
+        body += [mark % (*xy[0], "#2ca02c"), mark % (*xy[-1], HARD_COLOR)]
     return _document(body, title)
 
 

@@ -7,8 +7,8 @@ inter-class geometry: small spreads give tight, easily separated classes,
 large spreads the overlapping high-variance regime where hard triplets
 dominate. Generation is a pure function of the config.
 
-Datasets serialize to CSV with header ``label,x0,...,x{d-1}`` and values
-at 12 significant digits.
+Datasets serialize to CSV (header ``label,x0,...,x{d-1}``, floats at 12
+significant digits) through ``write_table``, the package's one CSV writer.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 from .geometry import DegenerateVectorError
 
 FLOAT_FMT = "%.12g"
+# rows formatted at a time: lists of a whole table's values cost memory
+_BLOCK_ROWS = 1024
 # classes x per_class x input_dim, checked before anything is allocated
 MAX_CELLS = 2**24
 
@@ -107,14 +109,22 @@ def generate(config: DatasetConfig) -> LabeledDataset:
 
 def save(ds: LabeledDataset, path: str | Path) -> None:
     """Write the dataset as a deterministic CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["label"] + [f"x{i}" for i in range(ds.dim)]
-        )
-        for label, row in zip(ds.labels, ds.points):
-            writer.writerow([int(label)] + [FLOAT_FMT % x for x in row])
+    write_table(path, ["label"] + [f"x{i}" for i in range(ds.dim)],
+                [ds.labels, *ds.points.T])
+
+
+def write_table(path: str | Path, header: list[str], columns) -> None:
+    """Write a header line, then one float, int or bool array per column."""
+    columns = [np.asarray(c) for c in columns]
+    fmts = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}
+    if bad := [c.dtype for c in columns if c.dtype.kind not in fmts]:
+        raise TypeError(f"no CSV format for dtype {bad[0]}")
+    template = ",".join(fmts[c.dtype.kind] for c in columns) + "\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = (c[lo:lo + _BLOCK_ROWS].tolist() for c in columns)
+            fh.writelines(map(template.__mod__, zip(*block)))
 
 
 def read_table(

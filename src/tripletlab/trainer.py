@@ -34,6 +34,10 @@ from .synthdata import LabeledDataset
 
 _SEED_MAX = 2**63 - 1
 MAX_EMBED_DIM = 1024  # checked before the weights are allocated
+# each epoch keeps a log and evaluates the whole dataset; each batch keeps
+# its losses until the epoch ends: both checked before training starts
+MAX_EPOCHS = 100_000
+MAX_BATCHES_PER_EPOCH = 1_000_000
 
 
 class GradMode(str, Enum):
@@ -82,16 +86,19 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ValueError(f"epochs must lie in [1, {MAX_EPOCHS}]")
         if self.classes_per_batch < 2:
             raise ValueError("classes_per_batch must be >= 2")
         if not 2 <= self.embed_dim <= MAX_EMBED_DIM:
             raise ValueError(f"embed_dim must lie in [2, {MAX_EMBED_DIM}]")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
-            raise ValueError("batches_per_epoch must be >= 1")
+        if self.batches_per_epoch is not None and not (
+            1 <= self.batches_per_epoch <= MAX_BATCHES_PER_EPOCH
+        ):
+            raise ValueError("batches_per_epoch must lie in "
+                             f"[1, {MAX_BATCHES_PER_EPOCH}]")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletlab.cli import main
+from tripletlab.trainer import MAX_BATCHES_PER_EPOCH, MAX_EPOCHS
 
 
 @pytest.fixture
@@ -262,6 +263,23 @@ class TestRerun:
         err = capsys.readouterr().err
         assert "malformed manifest" in err and "start" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", MAX_EPOCHS + 1),
+        ("batches_per_epoch", MAX_BATCHES_PER_EPOCH + 1),
+    ])
+    def test_size_above_bound_is_malformed(self, outdir, capsys, key, value):
+        main(gen_args())
+        main(["train", "--data", str(outdir / "data.csv"), "--epochs", "1",
+              "--classes-per-batch", "2", "--out-prefix", "run"])
+        path = outdir / "run.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed manifest" in err and key in err
+
 
 def test_huge_finite_field_draws_without_nan(outdir, capsys):
     """--p 1e308 gives finite deltas up to about 1e306: the run succeeds
@@ -338,6 +356,11 @@ def _train(data, *flags):
                  id="steps above bound"),
     pytest.param(_train("{d}/data.csv", "--embed-dim", "1025"), 1,
                  id="embed-dim above bound"),
+    pytest.param(_train("{d}/data.csv", "--epochs", str(MAX_EPOCHS + 1)), 1,
+                 id="epochs above bound"),
+    pytest.param(_train("{d}/data.csv", "--batches-per-epoch",
+                        str(MAX_BATCHES_PER_EPOCH + 1)), 1,
+                 id="batches-per-epoch above bound"),
     pytest.param(["diagram", "--data", "{d}/data.csv", "--weights",
                   "{d}/nan_weights.csv", "--out-prefix", "d"], 2,
                  id="nan weights"),
@@ -419,10 +442,11 @@ ADVERSARIAL_COMMANDS = {
              batches_per_epoch=2, out_prefix="r"),
         dict(loss=st.sampled_from(["nca", "margin", "sct"]),
              miner=st.sampled_from(["random", "hn", "shn", "ep", "ephn"]),
-             lr=REALS, margin=REALS, epochs=sizes(),
+             lr=REALS, margin=REALS, epochs=sizes(MAX_EPOCHS + 1, 10**12),
              classes_per_batch=sizes(), embed_dim=sizes(1025, 10**9),
              seed=sizes(), snapshot_every=sizes(),
-             batches_per_epoch=sizes(), **{"lambda": REALS}),
+             batches_per_epoch=sizes(MAX_BATCHES_PER_EPOCH + 1, 10**12),
+             **{"lambda": REALS}),
     ),
 }
 

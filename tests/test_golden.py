@@ -5,7 +5,7 @@ behind, plus each run's exit code and stdout. A pure refactor must leave
 it unchanged. A change that moves float bits on purpose re-baselines it:
 run this test, confirm that only the intended entries moved, and paste
 the table its failure message prints over ``EXPECTED`` (and its numpy
-version over ``NUMPY_VERSION``).
+version and platform over ``NUMPY_VERSION`` and ``PLATFORM``).
 
 The runs share one working directory and use relative paths, because
 manifests record ``--data`` and ``--weights`` exactly as given.
@@ -13,6 +13,8 @@ manifests record ``--data`` and ``--weights`` exactly as given.
 
 import hashlib
 import json
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ import pytest
 from tripletlab.cli import main
 
 NUMPY_VERSION = "2.4.6"
+PLATFORM = "linux-x86_64"
 
 _SIMULATE_CONFIG = {
     "loss": "nca", "p": 0.0, "gamma": 1.0, "beta_scale": 0.05,
@@ -304,8 +307,13 @@ def _run_all(workdir, capsys) -> dict[str, str]:
     return digests
 
 
+def _platform() -> str:
+    return f"{sys.platform}-{platform.machine()}"
+
+
 def _table(digests: dict[str, str]) -> str:
-    lines = [f'NUMPY_VERSION = "{np.__version__}"', "", "EXPECTED = {"]
+    lines = [f'NUMPY_VERSION = "{np.__version__}"',
+             f'PLATFORM = "{_platform()}"', "", "EXPECTED = {"]
     for key, value in digests.items():
         lines += [f'    "{key}":', f'        "{value}",']
     return "\n".join(lines + ["}"])
@@ -320,6 +328,11 @@ def test_cli_goldens(tmp_path, monkeypatch, capsys):
         problems.append(
             f"numpy {np.__version__} is installed, but the goldens were "
             f"made under numpy {NUMPY_VERSION}"
+        )
+    if _platform() != PLATFORM:
+        problems.append(
+            f"this platform is {_platform()}, but the goldens were made on "
+            f"{PLATFORM}"
         )
     differing = sorted(
         key for key in actual.keys() | EXPECTED.keys()

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripletlab import synthdata
 from tripletlab.geometry import DegenerateVectorError
 from tripletlab.synthdata import (
+    FLOAT_FMT,
     MAX_CELLS,
     DatasetConfig,
     DatasetParseError,
@@ -10,6 +14,7 @@ from tripletlab.synthdata import (
     load,
     read_table,
     save,
+    write_table,
 )
 
 CFG = DatasetConfig(
@@ -164,3 +169,98 @@ class TestSaveLoad:
         assert ds.dim == 16
         assert ds.num_classes() == 8
         assert len(ds) == 256
+
+
+# floats whose 12-digit form is easy to get wrong: signed zeros, the
+# infinities, nan, subnormals, the ends of the normal range, and values
+# that round across a power of ten
+SPECIAL_FLOATS = [
+    -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, 0.1, 1 / 3, 999999999999.5, 1e16, -1e-5,
+]
+SPECIAL_INTS = [0, -1, 1, 2**62, -(2**62), 10**12, -(10**12) - 1]
+
+
+def _old_csv(header, columns) -> str:
+    """The per-row formatter the CLI used before write_table: numpy
+    scalars of each row, floats at FLOAT_FMT, everything else through str
+    (bools were passed as ints)."""
+    columns = [c.astype(np.int64) if c.dtype == bool else c for c in columns]
+    return ",".join(header) + "\n" + "".join(
+        ",".join(FLOAT_FMT % v if isinstance(v, float) else str(v)
+                 for v in row) + "\n"
+        for row in zip(*columns)
+    )
+
+
+def _column(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """n values of a float64, int64 or bool column, about a fifth of them
+    special."""
+    if kind == "b":
+        return rng.random(n) < 0.5
+    if kind == "i":
+        values = rng.integers(-(2**62), 2**62, n, endpoint=True)
+        values[rng.random(n) < 0.3] //= 2**40  # small ints as well
+        special = SPECIAL_INTS
+    else:
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+        values = np.where(rng.random(n) < 0.5, bits.view(np.float64),
+                          rng.standard_normal(n) * 10.0 ** rng.integers(
+                              -20, 20, n))
+        special = SPECIAL_FLOATS
+    where = rng.random(n) < 0.2
+    values[where] = rng.choice(np.array(special, dtype=values.dtype),
+                               where.sum())
+    return values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 3000), kinds=st.text("fib", min_size=1,
+                                                 max_size=6),
+       block_rows=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_write_table_matches_the_per_row_formatter(tmp_path_factory, rows,
+                                                   kinds, block_rows, seed):
+    """Float64 columns with signed zeros, infinities, nan, subnormals and
+    +-1e308, int64 columns up to +-2^62 and bool columns, in blocks small
+    enough that most tables span several and end on a short one."""
+    rng = np.random.default_rng(seed)
+    columns = [_column(rng, kind, rows) for kind in kinds]
+    header = [f"{kind}{j}" for j, kind in enumerate(kinds)]
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthdata, "_BLOCK_ROWS", block_rows)
+        write_table(path, header, columns)
+    assert path.read_text() == _old_csv(header, columns)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 300), dim=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_write_table_reads_back_bit_for_bit(tmp_path_factory, rows, dim,
+                                            seed):
+    """Finite values that 12 significant digits hold exactly, -0.0 and
+    subnormals included, come back from read_table with the same bits."""
+    rng = np.random.default_rng(seed)
+    labels = _column(rng, "i", rows)
+    values = np.column_stack([_column(rng, "f", rows) for _ in range(dim)])
+    values[~np.isfinite(values)] = -0.0
+    values = np.array([float(FLOAT_FMT % v) for v in values.ravel()]
+                      ).reshape(rows, dim)
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthdata, "_BLOCK_ROWS", 7)
+        write_table(path, ["label"] + [f"x{j}" for j in range(dim)],
+                    [labels, *values.T])
+    _, back_labels, back = read_table(path, labeled=True)
+    assert back_labels.dtype == np.int64
+    assert np.array_equal(back_labels, labels)
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+@pytest.mark.parametrize("column", [
+    np.array(["a"]), np.array([1 + 2j]), np.array([None], dtype=object),
+])
+def test_write_table_refuses_other_dtypes(tmp_path, column):
+    with pytest.raises(TypeError, match="no CSV format"):
+        write_table(tmp_path / "t.csv", ["c"], [column])
