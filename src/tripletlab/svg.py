@@ -2,6 +2,13 @@
 
 No plotting dependency; output is deterministic, self-contained XML with
 nothing external referenced, so files diff cleanly across runs.
+
+Every coordinate (and every other float the charts print) goes through one
+renderer, ``_rows``, which fills ``%.2f`` templates from whole float64
+columns with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from
+byte tables; a value whose |v| * 100 lies within 1e-6 of a half (exact
+ties such as 0.125 included) or whose |v| is not below 9999.995 (inf and
+nan included) is printed by ``"%.2f" %`` itself.
 """
 
 from __future__ import annotations
@@ -18,15 +25,43 @@ HARD_COLOR = "#d62728"
 EASY_COLOR = "#1f77b4"
 SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
-# quiver cells in _f's "%.2f": a shaft and a two-stroke head, or a dot
+# quiver cells: a shaft and a two-stroke head, or a dot
 _ARROW = ('<path d="M%.2f %.2f L%.2f %.2f M%.2f %.2f L%.2f %.2f L%.2f %.2f" '
           f'stroke="{EASY_COLOR}" fill="none" stroke-width="1"/>')
 _DOT = '<circle cx="%.2f" cy="%.2f" r="0.8" fill="gray"/>'
-_POINT = '<circle cx="%.2f" cy="%.2f" r="3" fill="%s" fill-opacity="0.6"/>'
+_POINTS = tuple(f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" '
+                'fill-opacity="0.6"/>' for color in (EASY_COLOR, HARD_COLOR))
+_ENDS = ('<circle cx="%.2f" cy="%.2f" r="4" fill="#2ca02c"/>\n'
+         f'<circle cx="%.2f" cy="%.2f" r="4" fill="{HARD_COLOR}"/>')
+
+# rows rendered at a time: each block holds a few dozen bytes per value in
+# temporaries, and 4,096-row blocks raised a simulate-and-rerun process's
+# peak RSS above the per-row formatter's
+_BLOCK_ROWS = 2048
+# byte dropped from every rendered block; no template contains it
+_PAD = 0
 
 
-def _f(x: float) -> str:
-    return f"{x:.2f}"
+def _word_tables() -> tuple[np.ndarray, np.ndarray]:
+    """"%.2f" of q / 100 for an integer q < 10**6 is the little-endian
+    8-byte word ints[q // 100] | cents[q % 100] | sign: the integer part
+    right-aligned in bytes 1-4, then ".cc" in bytes 5-7; byte 0 is left
+    for the sign. Built from uint8 digit runs: building them from 10,000
+    Python bytes objects left the process 1 MB larger."""
+    digits = np.arange(10, dtype=np.uint8) + ord("0")
+    ints = np.full((10_000, 8), _PAD, np.uint8)
+    for col, place in zip(range(1, 5), (1000, 100, 10, 1)):
+        ints[:, col] = np.tile(np.repeat(digits, place), 1000 // place)
+    for col, place in zip(range(1, 4), (1000, 100, 10)):
+        ints[:place, col] = _PAD  # leading zeros
+    cents = np.full((100, 8), _PAD, np.uint8)
+    cents[:, 5] = ord(".")
+    cents[:, 6], cents[:, 7] = np.repeat(digits, 10), np.tile(digits, 10)
+    return ints.view("<u8").ravel(), cents.view("<u8").ravel()
+
+
+_INTS, _CENTS = _word_tables()
+_MINUS = np.uint64(ord("-"))
 
 
 def _sq_x(v: float) -> float:
@@ -36,6 +71,81 @@ def _sq_x(v: float) -> float:
 
 def _sq_y(v: float) -> float:
     return HEIGHT - MARGIN - (v + 1.0) / 2.0 * (HEIGHT - 2 * MARGIN)
+
+
+def _rows(templates: Sequence[str], values, which=None,
+          sep: str = "\n") -> list[str]:
+    """Row i is ``templates[which[i]] % tuple(values[i])``; rows are joined
+    by sep into blocks of ``_BLOCK_ROWS``, so sep.join of the blocks is the
+    whole text.
+
+    Every slot of a template is ``%.2f``; a template with j slots takes the
+    first j values of its row. which defaults to template 0 for every row.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    which = (np.zeros(len(values), np.intp) if which is None
+             else np.asarray(which, dtype=np.intp))
+    pieces = [[np.frombuffer(s.encode(), np.uint8)
+               for s in (template + sep).split("%.2f")]
+              for template in templates]
+    step = _BLOCK_ROWS
+    return [_block(pieces, values[lo:lo + step], which[lo:lo + step],
+                   len(sep))
+            for lo in range(0, len(values), step)]
+
+
+def _block(pieces, values: np.ndarray, which: np.ndarray, cut: int) -> str:
+    """One block's rows as text, its last row without its cut sep bytes."""
+    slots = _slots(values)
+    width = slots.shape[-1]
+    sizes = [sum(map(len, p)) + (len(p) - 1) * width for p in pieces]
+    out = np.full((len(values), max(sizes)), _PAD, np.uint8)
+    for t, literals in enumerate(pieces):
+        rows = which == t
+        out[rows, :sizes[t]] = _fill(literals, slots[rows], sizes[t])
+    text = out[out != _PAD]
+    return text[:text.size - cut].tobytes().decode()
+
+
+def _fill(literals, slots: np.ndarray, size: int) -> np.ndarray:
+    """Rows of literals with the slots between them, size bytes each."""
+    out = np.empty((len(slots), size), np.uint8)
+    width = slots.shape[-1]
+    at = 0
+    for j, literal in enumerate(literals):
+        if j:
+            out[:, at:at + width] = slots[:, j - 1]
+            at += width
+        out[:, at:at + len(literal)] = literal
+        at += len(literal)
+    return out
+
+
+def _slots(values: np.ndarray) -> np.ndarray:
+    """``"%.2f" % v`` of every value, right-aligned in _PAD-led slots of
+    one width (8 bytes, or the longest value printed by ``%``)."""
+    mag = np.abs(values)
+    fits = mag < 9999.995
+    cents = np.where(fits, mag, 0.0) * 100.0
+    q = np.rint(cents)
+    # |v| * 100 is within 2**-33 of its exact value here, so a distance
+    # from a half above 1e-6 rounds to the same integer as "%.2f" does
+    exact = fits & (np.abs(cents - q) < 0.5 - 1e-6)
+    whole, frac = np.divmod(q.astype(np.intp), 100)
+    words = _INTS[whole] | _CENTS[frac] | np.signbit(values) * _MINUS
+    slots = words.astype("<u8", copy=False).view(np.uint8)
+    slots = slots.reshape(values.shape + (8,))
+    odd = np.argwhere(~exact)
+    texts = [("%.2f" % values[tuple(i)]).encode() for i in odd]
+    width = max([8, *map(len, texts)])
+    if width > 8:
+        slots = np.concatenate(
+            [np.full(values.shape + (width - 8,), _PAD, np.uint8), slots],
+            axis=-1)
+    for i, text in zip(odd, texts):
+        slots[tuple(i)] = np.frombuffer(text.rjust(width, bytes([_PAD])),
+                                        np.uint8)
+    return slots
 
 
 def _document(body: list[str], title: str) -> str:
@@ -53,37 +163,29 @@ def _document(body: list[str], title: str) -> str:
 def _square_axes(x_label: str, y_label: str) -> list[str]:
     x0, x1 = _sq_x(-1.0), _sq_x(1.0)
     y0, y1 = _sq_y(-1.0), _sq_y(1.0)
-    parts = [
-        f'<rect x="{_f(x0)}" y="{_f(y1)}" width="{_f(x1 - x0)}" '
-        f'height="{_f(y0 - y1)}" fill="none" stroke="black"/>'
-    ]
+    parts = ['<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+             'fill="none" stroke="black"/>']
+    values = [x0, y1, x1 - x0, y0 - y1]
     for v in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        parts.append(
-            f'<text x="{_f(_sq_x(v))}" y="{_f(y0 + 18)}" '
-            f'text-anchor="middle" font-family="monospace" '
-            f'font-size="11">{v:g}</text>'
-        )
-        parts.append(
-            f'<text x="{_f(x0 - 8)}" y="{_f(_sq_y(v) + 4)}" '
-            f'text-anchor="end" font-family="monospace" '
-            f'font-size="11">{v:g}</text>'
-        )
-    parts.append(
+        parts += [
+            '<text x="%.2f" y="%.2f" text-anchor="middle" '
+            f'font-family="monospace" font-size="11">{v:g}</text>',
+            '<text x="%.2f" y="%.2f" text-anchor="end" '
+            f'font-family="monospace" font-size="11">{v:g}</text>',
+        ]
+        values += [_sq_x(v), y0 + 18, x0 - 8, _sq_y(v) + 4]
+    parts += [
         f'<text x="{(WIDTH) // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{x_label}</text>'
-    )
-    parts.append(
+        f'font-family="monospace" font-size="12">{x_label}</text>',
         f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {HEIGHT // 2})">{y_label}</text>'
-    )
-    # the s_an = s_ap diagonal separating hard from easy triplets
-    parts.append(
-        f'<line x1="{_f(_sq_x(-1.0))}" y1="{_f(_sq_y(-1.0))}" '
-        f'x2="{_f(_sq_x(1.0))}" y2="{_f(_sq_y(1.0))}" '
-        f'stroke="gray" stroke-dasharray="5,4"/>'
-    )
-    return parts
+        f'transform="rotate(-90 16 {HEIGHT // 2})">{y_label}</text>',
+        # the s_an = s_ap diagonal separating hard from easy triplets
+        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+        'stroke="gray" stroke-dasharray="5,4"/>',
+    ]
+    values += [x0, y0, x1, y1]
+    return _rows(["\n".join(parts)], [values])
 
 
 def diagram_scatter(
@@ -91,10 +193,9 @@ def diagram_scatter(
 ) -> str:
     """Scatter of (s_ap, s_an, hard) diagram points; hard drawn in red."""
     s_ap, s_an, hard = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
-    colors = [HARD_COLOR if h else EASY_COLOR for h in hard.tolist()]
     body = _square_axes("s_ap", "s_an")
-    body += map(_POINT.__mod__,
-                zip(_sq_x(s_ap).tolist(), _sq_y(s_an).tolist(), colors))
+    body += _rows(_POINTS, np.column_stack([_sq_x(s_ap), _sq_y(s_an)]),
+                  hard != 0)
     return _document(body, title)
 
 
@@ -122,20 +223,18 @@ def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[str]:
     max_mag = mags.max(initial=0.0)
     cell_px = (WIDTH - 2 * MARGIN) / max(mags.size ** 0.5 - 1, 1)
     scale = 0.0 if max_mag == 0 else 0.9 * cell_px / max_mag
-    px = _sq_x(np.asarray(s_ap, dtype=np.float64))
-    py = _sq_y(np.asarray(s_an, dtype=np.float64))
+    cells = np.zeros((mags.size, 10))
+    cells[:, 0] = _sq_x(np.asarray(s_ap, dtype=np.float64))
+    cells[:, 1] = _sq_y(np.asarray(s_an, dtype=np.float64))
     arrow = mags * scale >= 0.15
-    (dx, dy), mags, x0, y0 = d[:, arrow], mags[arrow], px[arrow], py[arrow]
+    (dx, dy), mags, (x0, y0) = d[:, arrow], mags[arrow], cells[arrow, :2].T
     qx, qy = x0 + dx * scale, y0 - dy * scale
     ux, uy = (qx - x0) / (mags * scale), (qy - y0) / (mags * scale)
     head = np.where(mags * scale < 10, 0.3 * mags * scale, 3.0)
     lx, ly = qx - head * (ux - 0.5 * uy), qy - head * (uy + 0.5 * ux)
     rx, ry = qx - head * (ux + 0.5 * uy), qy - head * (uy - 0.5 * ux)
-    ends = iter(np.column_stack([x0, y0, qx, qy, lx, ly, qx, qy, rx, ry]))
-    return [
-        _ARROW % tuple(next(ends).tolist()) if is_arrow else _DOT % (x, y)
-        for is_arrow, x, y in zip(arrow.tolist(), px.tolist(), py.tolist())
-    ]
+    cells[arrow, 2:] = np.column_stack([qx, qy, lx, ly, qx, qy, rx, ry])
+    return _rows((_DOT, _ARROW), cells, arrow)
 
 
 def trajectory_path(
@@ -143,16 +242,15 @@ def trajectory_path(
 ) -> str:
     """Polyline through diagram points; start marked green, end red."""
     s_ap, s_an = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
-    xy = list(zip(_sq_x(s_ap).tolist(), _sq_y(s_an).tolist()))
-    coords = " ".join(map("%.2f,%.2f".__mod__, xy))
+    xy = np.column_stack([_sq_x(s_ap), _sq_y(s_an)])
+    coords = " ".join(_rows(["%.2f,%.2f"], xy, sep=" "))
     body = _square_axes("s_ap", "s_an")
     body.append(
         f'<polyline points="{coords}" fill="none" stroke="{EASY_COLOR}" '
         f'stroke-width="1.5"/>'
     )
-    if xy:
-        mark = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s"/>'
-        body += [mark % (*xy[0], "#2ca02c"), mark % (*xy[-1], HARD_COLOR)]
+    if len(xy):
+        body += _rows([_ENDS], xy[[0, -1]].reshape(1, 4))
     return _document(body, title)
 
 
@@ -166,10 +264,7 @@ def line_chart(
     n = max((len(vals) for _, vals in series), default=1)
     span = max(y_max - y_min, 1e-12)
 
-    def px(i: int) -> float:
-        return MARGIN + (i / max(n - 1, 1)) * (WIDTH - 2 * MARGIN)
-
-    def py(v: float) -> float:
+    def py(v):
         frac = (v - y_min) / span
         return HEIGHT - MARGIN - frac * (HEIGHT - 2 * MARGIN)
 
@@ -177,21 +272,21 @@ def line_chart(
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>'
     ]
-    for tick in range(5):
-        v = y_min + span * tick / 4
-        body.append(
-            f'<text x="{MARGIN - 8}" y="{_f(py(v) + 4)}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{v:.2f}</text>'
-        )
+    ticks = y_min + span * np.arange(5) / 4
+    body += _rows([f'<text x="{MARGIN - 8}" y="%.2f" text-anchor="end" '
+                   'font-family="monospace" font-size="11">%.2f</text>'],
+                  np.column_stack([py(ticks) + 4, ticks]))
     body.append(
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">epoch</text>'
     )
     for idx, (label, values) in enumerate(series):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        coords = " ".join(
-            f"{_f(px(i))},{_f(py(v))}" for i, v in enumerate(values)
-        )
+        values = np.asarray(values, dtype=np.float64)
+        px = MARGIN + (np.arange(len(values)) / max(n - 1, 1)) * (
+            WIDTH - 2 * MARGIN)
+        coords = " ".join(_rows(["%.2f,%.2f"],
+                                np.column_stack([px, py(values)]), sep=" "))
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -141,33 +141,45 @@ def read_table(
         rows = list(csv.reader(fh))
     if not rows:
         raise DatasetParseError(f"{path}: empty file")
-    header = rows[0]
-    first = 1 if labeled else 0
-    labels = []
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DatasetParseError(
-                f"{path}: line {lineno}: expected {len(header)} columns, "
-                f"got {len(row)}"
-            )
-        try:
-            if labeled:
-                labels.append(int(row[0]))
-            values.append([float(x) for x in row[first:]])
-        except ValueError as exc:
-            raise DatasetParseError(
-                f"{path}: line {lineno}: {exc}"
-            ) from exc
-    if not values:
+    header, body = rows[0], rows[1:]
+    if not body:
         raise DatasetParseError(f"{path}: no data rows")
-    values = np.asarray(values)
+    first = 1 if labeled else 0
+    if any(len(row) != len(header) for row in body):
+        _raise_first_bad_line(path, header, body, first)
+    try:
+        labels = [int(row[0]) for row in body] if labeled else None
+        # float() of every cell, labels included: int() text is float() text
+        values = np.array(body, dtype=np.float64)[:, first:].copy()
+    except ValueError:
+        _raise_first_bad_line(path, header, body, first)
+        raise
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise DatasetParseError(
             f"{path}: line {int(np.argmax(bad)) + 2}: non-finite value"
         )
     return header, np.asarray(labels) if labeled else None, values
+
+
+def _raise_first_bad_line(path: Path, header: list[str],
+                          body: list[list[str]], first: int) -> None:
+    """Raise for the first row with a wrong width or a cell that int()
+    (label) or float() refuses, checking one row at a time."""
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise DatasetParseError(
+                f"{path}: line {lineno}: expected {len(header)} columns, "
+                f"got {len(row)}"
+            )
+        try:
+            if first:
+                int(row[0])
+            [float(x) for x in row[first:]]
+        except ValueError as exc:
+            raise DatasetParseError(
+                f"{path}: line {lineno}: {exc}"
+            ) from exc
 
 
 def load(path: str | Path) -> LabeledDataset:
