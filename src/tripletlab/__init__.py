@@ -5,8 +5,7 @@ from .dynamics import (
     SimilarityUpdate,
     StepParams,
     VectorField,
-    step_margin,
-    step_nca,
+    step,
     trajectory,
     vector_field,
 )
@@ -19,12 +18,8 @@ from .evaluation import (
 from .geometry import (
     DegenerateVectorError,
     TripletCoord,
-    TripletFeatures,
     UndefinedGammaError,
-    coord_of,
-    cosine,
     gamma,
-    normalize,
     s_pn_from,
 )
 from .losses import (
@@ -32,12 +27,10 @@ from .losses import (
     FeatureGrads,
     LossKind,
     LossSpec,
-    coord_grad,
-    feature_grads,
-    loss_value,
-    margin_loss,
-    nca_loss,
-    sct_loss,
+    batch_feature_grads,
+    coord_grads,
+    is_hard,
+    loss_values,
 )
 from .mining import (
     Batch,
@@ -45,10 +38,7 @@ from .mining import (
     MiningStrategy,
     NoNegativesError,
     Triplets,
-    hard_fraction,
-    is_hard,
     mine,
-    similarity_matrix,
 )
 from .synthdata import (
     DatasetConfig,

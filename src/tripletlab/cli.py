@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import GridSpec, StepParams, step, trajectory, vector_field
 from .evaluation import diagram_extract
-from .geometry import DegenerateVectorError, TripletCoord, UndefinedGammaError
+from .geometry import DegenerateVectorError, TripletCoord
 from .losses import LossKind, LossSpec, is_hard
 from .mining import Batch, MiningStrategy, NoNegativesError
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (DatasetParseError, NoNegativesError, OSError) as exc:
         kind, code, error = "data", EXIT_DATA, exc
-    except (DegenerateVectorError, UndefinedGammaError) as exc:
+    except DegenerateVectorError as exc:
         kind, code, error = "numeric", EXIT_NUMERIC, exc
     except ValueError as exc:
         # every other refusal is an invalid flag value: bounds, seed and

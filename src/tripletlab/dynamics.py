@@ -153,28 +153,19 @@ def _closed_form(
     )
 
 
-def step_nca(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """One softmax-ratio-loss step in diagram space: beta = lr * sigma."""
-    beta = params.learning_rate * softmax_weight(coord)
-    return _closed_form(coord, params, beta, 0.0)
-
-
-def step_margin(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """One margin-hinge step in diagram space: beta = 2 lr where the hinge
-    is active, and 0 (the identity) where it is not."""
-    active = hinge_argument(coord, params.loss.margin) > 0.0
-    return _closed_form(coord, params, 2.0 * params.learning_rate * active,
-                        1.0)
-
-
 def step(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """Dispatch on the configured loss kind (diagram dynamics cover nca
-    and margin). Elementwise: a coord of floats gives one update, a coord
-    of arrays the update of every point, with the same bits."""
+    """One gradient step in diagram space under the configured loss:
+    beta = lr * sigma for the softmax-ratio loss, and for the margin
+    hinge beta = 2 lr where it is active and 0 (the identity) where it is
+    not. Elementwise: a coord of floats gives one update, a coord of
+    arrays the update of every point, with the same bits."""
     if params.loss.kind == LossKind.NCA:
-        return step_nca(coord, params)
+        beta = params.learning_rate * softmax_weight(coord)
+        return _closed_form(coord, params, beta, 0.0)
     if params.loss.kind == LossKind.MARGIN:
-        return step_margin(coord, params)
+        active = hinge_argument(coord, params.loss.margin) > 0.0
+        return _closed_form(coord, params, 2.0 * params.learning_rate * active,
+                            1.0)
     raise ValueError(
         "diagram-space dynamics are defined for the nca and margin losses"
     )

@@ -85,4 +85,5 @@ def diagram_extract(batch: Batch) -> Triplets:
     try:
         return mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, seed=0)
     except NoNegativesError:  # a single class: no item has a negative
-        return Triplets.of([])
+        none = np.empty(0, dtype=np.int64)
+        return Triplets(none, none, none, np.empty(0), np.empty(0))

@@ -10,12 +10,10 @@ what makes diagram-space simulation possible at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-_ZERO_NORM_EPS = 1e-12
 _COLINEAR_EPS = 1e-9
 
 
@@ -66,96 +64,6 @@ def elementwise(coord: TripletCoord) -> Elementwise:
     return _ARRAY_OPS
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the unit sphere.
-
-    Parameters
-    ----------
-    v : array of shape (d,)
-        Any vector with norm > 1e-12.
-
-    Returns
-    -------
-    Unit vector v / ||v|| as float64.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= _ZERO_NORM_EPS:
-        raise DegenerateVectorError(
-            f"cannot normalize vector with norm {norm:.3e}"
-        )
-    return v / norm
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1].
-
-    Clamping absorbs floating-point drift so downstream sqrt(1 - s^2)
-    terms never see a negative radicand.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.clip(np.dot(u, v), -1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class TripletFeatures:
-    """Anchor, positive, negative unit vectors of one triplet."""
-
-    anchor: np.ndarray
-    positive: np.ndarray
-    negative: np.ndarray
-
-    def __post_init__(self):
-        dims = {self.anchor.shape, self.positive.shape, self.negative.shape}
-        if len(dims) != 1 or self.anchor.ndim != 1:
-            raise ValueError("triplet vectors must share one dimension d")
-        if self.anchor.shape[0] < 2:
-            raise ValueError("triplet vectors need d >= 2")
-        for name in ("anchor", "positive", "negative"):
-            vec = getattr(self, name)
-            if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-                raise ValueError(f"{name} is not a unit vector")
-
-
-def coord_of(t: TripletFeatures) -> TripletCoord:
-    """Diagram coordinates (s_ap, s_an) of a triplet."""
-    return TripletCoord(
-        cosine(t.anchor, t.positive), cosine(t.anchor, t.negative)
-    )
-
-
-def gamma(t: TripletFeatures) -> float:
-    """Plane-projection factor between the two tangent directions.
-
-    Decompose positive and negative into components along the anchor and
-    orthogonal to it; gamma is the normalized dot product of the two
-    orthogonal components. It is 1 when all three points are co-planar with
-    positive and negative on the same side, and 0 when the tangent
-    directions from the anchor are orthogonal.
-
-    Raises
-    ------
-    UndefinedGammaError
-        If positive or negative is colinear with the anchor (|s| too close
-        to 1), which leaves no orthogonal component.
-    """
-    s_ap, s_an = coord_of(t)
-    if abs(s_ap) >= 1.0 - _COLINEAR_EPS or abs(s_an) >= 1.0 - _COLINEAR_EPS:
-        raise UndefinedGammaError(
-            f"gamma undefined for colinear triplet (s_ap={s_ap}, s_an={s_an})"
-        )
-    p_orth = t.positive - s_ap * t.anchor
-    n_orth = t.negative - s_an * t.anchor
-    value = float(
-        np.dot(p_orth, n_orth)
-        / (np.linalg.norm(p_orth) * np.linalg.norm(n_orth))
-    )
-    return float(np.clip(value, -1.0, 1.0))
-
-
 def s_pn_from(coord: TripletCoord, gamma_value: float) -> float:
     """Positive-negative similarity implied by a diagram point and gamma.
 
@@ -166,3 +74,21 @@ def s_pn_from(coord: TripletCoord, gamma_value: float) -> float:
     rad_ap = ops.relu(1.0 - coord.s_ap * coord.s_ap)
     rad_an = ops.relu(1.0 - coord.s_an * coord.s_an)
     return coord.s_ap * coord.s_an + gamma_value * ops.sqrt(rad_ap * rad_an)
+
+
+def gamma(coord: TripletCoord, s_pn: float) -> float:
+    """Plane-projection factor: the inverse of s_pn_from, elementwise.
+
+    (s_pn - s_ap s_an) / sqrt((1 - s_ap^2)(1 - s_an^2)), clipped to
+    [-1, 1], is the cosine between the parts of positive and negative
+    orthogonal to the anchor: 1 when all three points are co-planar with
+    positive and negative on the same side, 0 when those parts are
+    orthogonal. Raises UndefinedGammaError if any point has |s_ap| or
+    |s_an| >= 1 - 1e-9, where a colinear pair has no orthogonal part.
+    """
+    s_ap = np.asarray(coord.s_ap, dtype=np.float64)
+    s_an = np.asarray(coord.s_an, dtype=np.float64)
+    if (np.maximum(abs(s_ap), abs(s_an)) >= 1.0 - _COLINEAR_EPS).any():
+        raise UndefinedGammaError("colinear: |s_ap| or |s_an| >= 1 - 1e-9")
+    rad = np.sqrt((1.0 - s_ap * s_ap) * (1.0 - s_an * s_an))
+    return np.clip((s_pn - s_ap * s_an) / rad, -1.0, 1.0)

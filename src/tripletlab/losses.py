@@ -12,21 +12,21 @@ Gradients come in two flavors: with respect to the diagram coordinates
 The learning rate is deliberately NOT folded in here; dynamics and the
 trainer apply their own step sizes to the same gradient code.
 
-``loss_values``, ``coord_grads`` and ``batch_feature_grads`` evaluate a
-whole batch of triplets, and ``softmax_weight``, ``is_hard`` and
-``hinge_argument`` work elementwise; the single-triplet functions call
-into them.
+``loss_values`` and ``coord_grads`` work elementwise over coordinate
+arrays, as do ``softmax_weight``, ``is_hard`` and ``hinge_argument``; a
+diagram point of floats is the one-element case. ``batch_feature_grads``
+takes (k, d) rows of feature vectors, k = 1 for a single triplet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord, TripletFeatures, elementwise
+from .geometry import TripletCoord, elementwise
 
 
 class LossKind(str, Enum):
@@ -121,26 +121,6 @@ def loss_values(coords, spec: LossSpec) -> np.ndarray:
     return values
 
 
-def loss_value(coord: TripletCoord, spec: LossSpec) -> float:
-    """Evaluate whichever loss the spec selects."""
-    return float(loss_values(coord, spec))
-
-
-def nca_loss(coord: TripletCoord) -> float:
-    """Softmax-ratio loss, always positive."""
-    return loss_value(coord, LossSpec(kind=LossKind.NCA))
-
-
-def margin_loss(coord: TripletCoord, margin: float) -> float:
-    """Hinged squared-distance triplet loss."""
-    return loss_value(coord, LossSpec(kind=LossKind.MARGIN, margin=margin))
-
-
-def sct_loss(coord: TripletCoord, spec: LossSpec) -> float:
-    """Selective loss: lam*s_an when hard, the base loss otherwise."""
-    return loss_value(coord, replace(spec, kind=LossKind.SCT))
-
-
 def coord_grads(coords, spec: LossSpec) -> CoordGrad:
     """Gradient of the selected loss with respect to (s_ap, s_an),
     elementwise over coordinate arrays.
@@ -158,11 +138,6 @@ def coord_grads(coords, spec: LossSpec) -> CoordGrad:
     return CoordGrad(np.where(hard, 0.0, 0.0 - d), np.where(hard, spec.lam, d))
 
 
-def coord_grad(coord: TripletCoord, spec: LossSpec) -> CoordGrad:
-    """coord_grads of one diagram point."""
-    return CoordGrad(*map(float, coord_grads(coord, spec)))
-
-
 def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cosine: a stacked matmul keeps np.dot's bits, einsum not."""
     return np.clip((u[:, None, :] @ v[:, :, None])[:, 0, 0], -1.0, 1.0)
@@ -171,8 +146,17 @@ def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def batch_feature_grads(
     f_a: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, spec: LossSpec
 ) -> FeatureGrads:
-    """feature_grads of k triplets at once, from (k, d) rows of unit
-    anchor, positive and negative vectors; returns (k, d) rows."""
+    """Gradient of the selected loss with respect to the feature vectors
+    of k triplets, from (k, d) rows of unit anchor, positive and negative
+    vectors; returns (k, d) rows.
+
+    For the softmax-ratio loss: g_p = -sigma*f_a, g_n = +sigma*f_a,
+    g_a = sigma*(f_n - f_p). For the margin loss with an active hinge:
+    g_p = -2(f_a - f_p), g_n = +2(f_a - f_n), g_a = 2(f_n - f_p); all zero
+    when inactive. The selective hard branch differentiates lam * f_a.f_n
+    directly: g_n = lam*f_a, g_a = lam*f_n (or zero if the anchor is
+    frozen), g_p = 0.
+    """
     coords = TripletCoord(_cosines(f_a, f_p), _cosines(f_a, f_n))
     d_sap, d_san = (d[:, None] for d in coord_grads(coords, spec))
     if spec.easy_kind == LossKind.MARGIN:
@@ -187,19 +171,3 @@ def batch_feature_grads(
         g_a = np.where(hard, g_a_hard, g_a)
         g_n = np.where(hard, spec.lam * f_a, g_n)
     return FeatureGrads(g_a=g_a, g_p=g_p, g_n=g_n)
-
-
-def feature_grads(t: TripletFeatures, spec: LossSpec) -> FeatureGrads:
-    """Gradient of the selected loss with respect to the feature vectors.
-
-    For the softmax-ratio loss: g_p = -sigma*f_a, g_n = +sigma*f_a,
-    g_a = sigma*(f_n - f_p). For the margin loss with an active hinge:
-    g_p = -2(f_a - f_p), g_n = +2(f_a - f_n), g_a = 2(f_n - f_p); all zero
-    when inactive. The selective hard branch differentiates lam * f_a.f_n
-    directly: g_n = lam*f_a, g_a = lam*f_n (or zero if the anchor is
-    frozen), g_p = 0.
-    """
-    rows = batch_feature_grads(
-        t.anchor[None], t.positive[None], t.negative[None], spec
-    )
-    return FeatureGrads(*(g[0] for g in rows))

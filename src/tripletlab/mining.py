@@ -15,24 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .geometry import TripletCoord
-from .losses import is_hard
-
-__all__ = [
-    "Batch",
-    "MinedTriplet",
-    "MiningStrategy",
-    "NoNegativesError",
-    "Triplets",
-    "hard_fraction",
-    "is_hard",
-    "mine",
-    "similarity_matrix",
-]
 
 # query rows per similarity block: products and temporaries stay
 # _BLOCK_ROWS x n and no n x n array is built. Up to _BLOCK_ROWS rows are
@@ -88,8 +75,8 @@ class MinedTriplet(NamedTuple):
 class Triplets:
     """Mined triplets as a struct of arrays, one entry per triplet.
 
-    Iterating yields MinedTriplet rows of Python ints and floats, and
-    triplets compare equal to any sequence of equal rows.
+    Iterating yields MinedTriplet rows of Python ints and floats; two
+    Triplets are equal when their rows are.
     """
 
     anchor: np.ndarray  # (k,) int64 rows
@@ -97,16 +84,6 @@ class Triplets:
     negative: np.ndarray
     s_ap: np.ndarray  # (k,) float64
     s_an: np.ndarray
-
-    @classmethod
-    def of(cls, rows: Iterable[MinedTriplet]) -> Triplets:
-        """The arrays of a sequence of rows; a Triplets is returned as is."""
-        if isinstance(rows, Triplets):
-            return rows
-        rows = list(rows)
-        idx = np.array([r[:3] for r in rows], dtype=np.int64).reshape(-1, 3)
-        coords = np.array([r.coord for r in rows], dtype=np.float64)
-        return cls(*idx.T, *coords.reshape(-1, 2).T)
 
     def remap(self, rows: np.ndarray) -> Triplets:
         """The same triplets with every index i replaced by rows[i]."""
@@ -123,15 +100,9 @@ class Triplets:
             yield MinedTriplet(a, p, n, TripletCoord(s_ap, s_an))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Triplets, list, tuple)):
+        if not isinstance(other, Triplets):
             return NotImplemented
         return list(self) == list(other)
-
-
-def similarity_matrix(batch: Batch) -> np.ndarray:
-    """Pairwise cosine matrix, clamped to [-1, 1]."""
-    sims = batch.embeddings @ batch.embeddings.T
-    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def _row_blocks(queries: np.ndarray,
@@ -223,10 +194,3 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
         s_an[part] = row_sims[each, n]
     return Triplets(anchors, positive, negative, s_ap, s_an)
 
-
-def hard_fraction(triplets: Iterable[MinedTriplet]) -> float:
-    """Fraction of triplets whose negative outranks the positive."""
-    triplets = Triplets.of(triplets)
-    if len(triplets) == 0:
-        raise ValueError("hard_fraction of an empty triplet list")
-    return int(np.count_nonzero(is_hard(triplets))) / len(triplets)

@@ -75,15 +75,12 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def num_classes(self) -> int:
-        return int(np.unique(self.labels).size)
-
 
 def generate(config: DatasetConfig) -> LabeledDataset:
     """Draw a dataset from the config's seed.
 
     Centers are normalized standard-Gaussian draws (uniform on the
-    sphere); each member is normalize(center + intra_spread * noise)
+    sphere); each member is center + intra_spread * noise, normalized,
     where the Gaussian noise vector has expected norm ~1, so intra_spread
     is the noise magnitude relative to the unit class center (0.1 gives
     tight clusters, 2.0 noise twice as strong as the class signal).
@@ -137,8 +134,11 @@ def read_table(
     is None and values holds every column. Non-finite values are rejected.
     """
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open("r", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise DatasetParseError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
@@ -148,10 +148,11 @@ def read_table(
     if any(len(row) != len(header) for row in body):
         _raise_first_bad_line(path, header, body, first)
     try:
-        labels = [int(row[0]) for row in body] if labeled else None
+        labels = (np.array([int(row[0]) for row in body], dtype=np.int64)
+                  if labeled else None)
         # float() of every cell, labels included: int() text is float() text
         values = np.array(body, dtype=np.float64)[:, first:].copy()
-    except ValueError:
+    except (ValueError, OverflowError):
         _raise_first_bad_line(path, header, body, first)
         raise
     bad = ~np.isfinite(values).all(axis=1)
@@ -159,13 +160,14 @@ def read_table(
         raise DatasetParseError(
             f"{path}: line {int(np.argmax(bad)) + 2}: non-finite value"
         )
-    return header, np.asarray(labels) if labeled else None, values
+    return header, labels, values
 
 
 def _raise_first_bad_line(path: Path, header: list[str],
                           body: list[list[str]], first: int) -> None:
-    """Raise for the first row with a wrong width or a cell that int()
-    (label) or float() refuses, checking one row at a time."""
+    """Raise for the first row with a wrong width, a label that int()
+    refuses or int64 cannot hold, or a cell that float() refuses, checking
+    one row at a time."""
     for lineno, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DatasetParseError(
@@ -173,8 +175,8 @@ def _raise_first_bad_line(path: Path, header: list[str],
                 f"got {len(row)}"
             )
         try:
-            if first:
-                int(row[0])
+            if first and not -2**63 <= int(row[0]) < 2**63:
+                raise ValueError(f"label {row[0]} does not fit in int64")
             [float(x) for x in row[first:]]
         except ValueError as exc:
             raise DatasetParseError(

@@ -29,7 +29,7 @@ import numpy as np
 from .evaluation import collapse_metric, recall_at_k
 from .geometry import DegenerateVectorError
 from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
-from .mining import Batch, MinedTriplet, MiningStrategy, Triplets, mine
+from .mining import Batch, MiningStrategy, Triplets, mine
 from .synthdata import LabeledDataset
 
 _SEED_MAX = 2**63 - 1
@@ -139,7 +139,7 @@ def init_params(input_dim: int, embed_dim: int, seed: int) -> ModelParams:
 def backward(
     params: ModelParams,
     inputs: np.ndarray,
-    triplets: Triplets | list[MinedTriplet],
+    triplets: Triplets,
     loss: LossSpec,
     grad_mode: GradMode,
 ) -> np.ndarray:
@@ -150,7 +150,7 @@ def backward(
     (anchor, positive, negative, then the next triplet), optionally pushed
     through the normalization Jacobian, then chained through the linear map.
     """
-    t = Triplets.of(triplets)
+    t = triplets
     if not t:
         return np.zeros_like(params.weight)
     xs = np.asarray(inputs, dtype=np.float64)

@@ -11,6 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
+from tripletlab.mining import Triplets
+
 
 def triplet_vectors(s_ap: float, s_an: float, g: float):
     """Concrete 3D unit vectors with the requested similarities and gamma."""
@@ -72,6 +74,13 @@ def sphere_step_oracle(
 EXACT_UNIT_ROWS = [v for v in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0),
                                                 repeat=4)
                    if sum(x * x for x in v) == 1.0]
+
+
+def triplets_of(rows):
+    """Triplets of MinedTriplet rows: backward takes arrays, not rows."""
+    idx = np.array([r[:3] for r in rows], dtype=np.int64).reshape(-1, 3)
+    coords = np.array([r.coord for r in rows], dtype=np.float64)
+    return Triplets(*idx.T, *coords.reshape(-1, 2).T)
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 import tripletlab as tl
-from tripletlab.dynamics import GridSpec, StepParams, step_margin, step_nca, vector_field
+from tripletlab.dynamics import GridSpec, StepParams, step, vector_field
 from tripletlab.geometry import TripletCoord
 from tripletlab.losses import (
     LossKind,
     LossSpec,
-    coord_grad,
+    coord_grads,
     hinge_argument,
-    loss_value,
     softmax_weight,
 )
 from tripletlab.mining import Batch, MiningStrategy, mine
@@ -28,8 +27,9 @@ from tripletlab.evaluation import recall_at_k
 from tripletlab.trainer import GradMode, ModelParams, TrainConfig, backward, train
 from tripletlab.cli import main as cli_main
 
-from conftest import random_unit, sphere_step_oracle
+from conftest import random_unit, sphere_step_oracle, triplets_of
 from test_evaluation import brute_force_recall
+from test_losses import loss_at, point
 from test_mining import brute_force_mine
 from test_trainer import batch_loss
 
@@ -58,7 +58,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
             margin = rng.uniform(0.0, 1.0)
             coord = TripletCoord(s_ap, s_an)
 
-            upd = step_nca(
+            upd = step(
                 coord,
                 StepParams(
                     learning_rate=beta / softmax_weight(coord), gamma=g
@@ -69,7 +69,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
                    upd.norm_n, upd.d_sap, upd.d_san)
             assert np.allclose(got, oracle, atol=1e-9, rtol=0.0)
 
-            upd = step_margin(
+            upd = step(
                 coord,
                 StepParams(
                     learning_rate=beta / 2.0,
@@ -87,7 +87,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
 
 
 def test_criterion_2_gradient_correctness():
-    """coord_grad and through-normalization backward match central finite
+    """coord_grads and through-normalization backward match central finite
     differences (step 1e-5, relative error <= 1e-4) away from branch
     boundaries, in under 30 s."""
     with criterion("2 (gradient correctness)"):
@@ -107,16 +107,16 @@ def test_criterion_2_gradient_correctness():
                 continue
             if abs(hinge_argument(coord, spec.margin)) < 1e-3:
                 continue
-            g = coord_grad(coord, spec)
+            g = coord_grads(point(*coord), spec)
             fd_sap = (
-                loss_value(TripletCoord(coord.s_ap + h, coord.s_an), spec)
-                - loss_value(TripletCoord(coord.s_ap - h, coord.s_an), spec)
+                loss_at(coord.s_ap + h, coord.s_an, spec)
+                - loss_at(coord.s_ap - h, coord.s_an, spec)
             ) / (2 * h)
             fd_san = (
-                loss_value(TripletCoord(coord.s_ap, coord.s_an + h), spec)
-                - loss_value(TripletCoord(coord.s_ap, coord.s_an - h), spec)
+                loss_at(coord.s_ap, coord.s_an + h, spec)
+                - loss_at(coord.s_ap, coord.s_an - h, spec)
             ) / (2 * h)
-            for got, want in ((g.d_sap, fd_sap), (g.d_san, fd_san)):
+            for got, want in ((g.d_sap[0], fd_sap), (g.d_san[0], fd_san)):
                 assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
             checked += 1
 
@@ -140,6 +140,7 @@ def test_criterion_2_gradient_correctness():
                     break
                 triplets.append(tl.MinedTriplet(a, p, n, c))
             else:
+                triplets = triplets_of(triplets)
                 grad = backward(params, xs, triplets, spec,
                                 GradMode.THROUGH_NORMALIZATION)
                 for i in range(4):
@@ -165,7 +166,7 @@ def test_criterion_3_fixed_point_and_zero_step():
         corner = TripletCoord(1.0, 1.0)
         for g in np.linspace(-1, 1, 9):
             for p in (0.0, 0.5, 1.0):
-                upd = step_nca(
+                upd = step(
                     corner,
                     StepParams(learning_rate=0.2, gamma=float(g),
                                entanglement_p=p),
@@ -173,7 +174,7 @@ def test_criterion_3_fixed_point_and_zero_step():
                 assert abs(upd.d_sap_total) <= 1e-12
                 assert abs(upd.d_san_total) <= 1e-12
                 for margin in (0.0, 0.2):
-                    upd = step_margin(
+                    upd = step(
                         corner,
                         StepParams(
                             learning_rate=0.2,
@@ -192,8 +193,7 @@ def test_criterion_3_fixed_point_and_zero_step():
             for loss in (LossSpec(kind=LossKind.NCA),
                          LossSpec(kind=LossKind.MARGIN, margin=0.5)):
                 params = StepParams(learning_rate=0.0, gamma=1.0, loss=loss)
-                fn = step_nca if loss.kind == LossKind.NCA else step_margin
-                upd = fn(coord, params)
+                upd = step(coord, params)
                 assert abs(upd.d_sap) <= 1e-12
                 assert abs(upd.d_san) <= 1e-12
                 assert abs(upd.s_ap_new - coord.s_ap) <= 1e-12

@@ -367,6 +367,15 @@ def _train(data, *flags):
     pytest.param(["diagram", "--data", "{d}/nan_data.csv",
                   "--out-prefix", "d"], 2, id="nan dataset diagram"),
     pytest.param(_train("{d}/nan_data.csv"), 2, id="nan dataset train"),
+    pytest.param(_train("{d}/big_label.csv"), 2, id="int64 label train"),
+    pytest.param(["diagram", "--data", "{d}/big_label.csv",
+                  "--out-prefix", "d"], 2, id="int64 label diagram"),
+    pytest.param(_train("{d}/latin1.csv"), 2, id="non-utf8 dataset train"),
+    pytest.param(["diagram", "--data", "{d}/latin1.csv",
+                  "--out-prefix", "d"], 2, id="non-utf8 dataset diagram"),
+    pytest.param(["diagram", "--data", "{d}/data.csv", "--weights",
+                  "{d}/latin1_weights.csv", "--out-prefix", "d"], 2,
+                 id="non-utf8 weights"),
     pytest.param(["rerun", "{d}/bad.manifest.json"], 2, id="bad manifest"),
     pytest.param(["rerun", "{d}/typed.manifest.json"], 2,
                  id="manifest value type"),
@@ -386,6 +395,15 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     (outdir / "nan_weights.csv").write_text("\n".join(weights) + "\n")
     (outdir / "nan_data.csv").write_text(
         "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n1,nan,0\n1,0,1\n"
+    )
+    (outdir / "big_label.csv").write_text(
+        "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n99999999999999999999,0,1\n"
+    )
+    (outdir / "latin1.csv").write_bytes(
+        b"label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n1,\xff0,1\n"
+    )
+    (outdir / "latin1_weights.csv").write_bytes(
+        "\n".join(weights).replace("0.4", "\xff", 1).encode("latin-1")
     )
     (outdir / "bad.manifest.json").write_text(json.dumps(
         {"command": "train", "config": {}, "checksums": {}}

@@ -9,8 +9,6 @@ from tripletlab.dynamics import (
     GridSpec,
     StepParams,
     step,
-    step_margin,
-    step_nca,
     trajectory,
     vector_field,
 )
@@ -45,13 +43,13 @@ def assert_matches_oracle(upd, oracle, tol=1e-9):
 
 class TestStepNca:
     def test_zero_learning_rate_is_identity(self):
-        upd = step_nca(TripletCoord(0.3, -0.4), StepParams(learning_rate=0.0))
+        upd = step(TripletCoord(0.3, -0.4), StepParams(learning_rate=0.0))
         assert upd.d_sap == 0.0 and upd.d_san == 0.0
         assert upd.norm_a == upd.norm_p == upd.norm_n == 1.0
 
     def test_coincident_fixed_point(self):
         # (1,1) is the degenerate minimum; updates are colinear, deltas vanish
-        upd = step_nca(
+        upd = step(
             TripletCoord(1.0, 1.0),
             StepParams(learning_rate=0.2, gamma=0.3, entanglement_p=0.0),
         )
@@ -61,7 +59,7 @@ class TestStepNca:
     def test_known_prenormalization_values(self):
         # s_pn = 1 at gamma=1: 0.6 / 0.4 before renormalization
         coord = TripletCoord(0.5, 0.5)
-        upd = step_nca(coord, nca_params_for_beta(coord, 0.1))
+        upd = step(coord, nca_params_for_beta(coord, 0.1))
         assert upd.s_ap_new == pytest.approx(0.6, abs=1e-12)
         assert upd.s_an_new == pytest.approx(0.4, abs=1e-12)
         assert_matches_oracle(upd, sphere_step_oracle(0.5, 0.5, 1.0, 0.1))
@@ -73,7 +71,7 @@ class TestStepNca:
             g = rng.uniform(-1, 1)
             beta = rng.uniform(0.0, 0.5)
             coord = TripletCoord(s_ap, s_an)
-            upd = step_nca(coord, nca_params_for_beta(coord, beta, g=g))
+            upd = step(coord, nca_params_for_beta(coord, beta, g=g))
             assert_matches_oracle(
                 upd, sphere_step_oracle(s_ap, s_an, g, beta, "nca")
             )
@@ -83,18 +81,18 @@ class TestStepMargin:
     def test_inactive_hinge_no_motion(self):
         params = StepParams(learning_rate=0.1, loss=LossSpec(
             kind=LossKind.MARGIN, margin=0.0))
-        upd = step_margin(TripletCoord(0.9, 0.1), params)
+        upd = step(TripletCoord(0.9, 0.1), params)
         assert upd.d_sap == 0.0 and upd.d_san == 0.0
         assert upd.s_ap_new == 0.9 and upd.s_an_new == 0.1
 
     def test_zero_step_is_identity(self):
         params = StepParams(learning_rate=0.0, loss=MARGIN02)
-        upd = step_margin(TripletCoord(0.1, 0.9), params)
+        upd = step(TripletCoord(0.1, 0.9), params)
         assert upd.d_sap == 0.0 and upd.d_san == 0.0
 
     def test_active_matches_oracle(self):
         params = StepParams(learning_rate=0.01, gamma=1.0, loss=MARGIN02)
-        upd = step_margin(TripletCoord(0.3, 0.7), params)
+        upd = step(TripletCoord(0.3, 0.7), params)
         assert_matches_oracle(
             upd, sphere_step_oracle(0.3, 0.7, 1.0, 0.02, "margin", 0.2)
         )
@@ -111,7 +109,7 @@ class TestStepMargin:
                 gamma=g,
                 loss=LossSpec(kind=LossKind.MARGIN, margin=margin),
             )
-            upd = step_margin(TripletCoord(s_ap, s_an), params)
+            upd = step(TripletCoord(s_ap, s_an), params)
             assert_matches_oracle(
                 upd,
                 sphere_step_oracle(s_ap, s_an, g, 2 * lr, "margin", margin),
@@ -126,14 +124,14 @@ class TestEntanglement:
             params = StepParams(
                 learning_rate=0.1, gamma=rng.uniform(-1, 1),
                 entanglement_p=0.0)
-            upd = step_nca(coord, params)
+            upd = step(coord, params)
             assert upd.d_sap_total == upd.d_sap
             assert upd.d_san_total == upd.d_san
 
     def test_coupling_uses_p_times_q(self):
         coord = TripletCoord(0.6, 0.5)
-        base = step_nca(coord, StepParams(learning_rate=0.1, gamma=1.0))
-        coupled = step_nca(
+        base = step(coord, StepParams(learning_rate=0.1, gamma=1.0))
+        coupled = step(
             coord,
             StepParams(learning_rate=0.1, gamma=1.0, entanglement_p=0.8),
         )
@@ -148,11 +146,11 @@ class TestEntanglement:
     def test_fixed_point_for_all_gamma_p(self):
         for g in (-1.0, -0.5, 0.0, 0.5, 1.0):
             for p in (0.0, 0.5, 1.0):
-                for params_loss, fn in ((NCA, step_nca), (MARGIN02, step_margin)):
+                for params_loss in (NCA, MARGIN02):
                     params = StepParams(
                         learning_rate=0.15, gamma=g, entanglement_p=p,
                         loss=params_loss)
-                    upd = fn(TripletCoord(1.0, 1.0), params)
+                    upd = step(TripletCoord(1.0, 1.0), params)
                     assert abs(upd.d_sap_total) < 1e-12
                     assert abs(upd.d_san_total) < 1e-12
 
@@ -254,7 +252,7 @@ class TestTrajectory:
     def test_single_step_composition(self):
         params = StepParams(learning_rate=0.1, gamma=1.0, entanglement_p=0.5)
         start = TripletCoord(0.2, 0.6)
-        upd = step_nca(start, params)
+        upd = step(start, params)
         points = trajectory(start, params, steps=1)
         assert points[1].s_ap == pytest.approx(
             start.s_ap + upd.d_sap_total, abs=1e-15

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from tripletlab import mining
 from tripletlab.evaluation import diagram_extract
 from tripletlab.geometry import TripletCoord
+from tripletlab.losses import is_hard
 from tripletlab.mining import (
     Batch,
     MinedTriplet,
     MiningStrategy,
     NoNegativesError,
-    hard_fraction,
-    is_hard,
+    Triplets,
     mine,
-    similarity_matrix,
 )
 
 from conftest import EXACT_UNIT_ROWS, random_unit
@@ -26,6 +25,11 @@ def random_batch(rng, n, dim=4, classes=3):
     # force at least two classes so mining is well-defined
     labels[0], labels[1] = 0, 1
     return Batch(embeddings=emb, labels=labels)
+
+
+def clipped_sims(batch):
+    """The whole similarity matrix, clamped to [-1, 1]."""
+    return np.clip(batch.embeddings @ batch.embeddings.T, -1, 1)
 
 
 def brute_force_mine(batch, strategy, seed):
@@ -118,26 +122,36 @@ class TestBatch:
             Batch(embeddings=[[np.nan, 0.0], [1.0, 0.0]], labels=[0, 1])
 
 
+def block_sims(batch):
+    """The similarity rows of mining._row_blocks, stacked; each block must
+    start where the previous one ended."""
+    emb = batch.embeddings
+    los, blocks = zip(*mining._row_blocks(emb, emb))
+    assert list(los) == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+    return np.vstack(blocks)
+
+
 class TestSimilarityMatrix:
     def test_repeated_vector_all_ones(self):
         v = random_unit(np.random.default_rng(0), 3)
         batch = Batch(embeddings=np.stack([v, v, v]), labels=[0, 0, 1])
-        assert np.allclose(similarity_matrix(batch), 1.0)
+        assert np.allclose(block_sims(batch), 1.0)
 
     def test_orthonormal_identity(self):
         batch = Batch(embeddings=np.eye(4), labels=[0, 0, 1, 1])
-        assert np.allclose(similarity_matrix(batch), np.eye(4))
+        assert np.allclose(block_sims(batch), np.eye(4))
 
-    def test_matches_double_loop(self, rng):
+    def test_matches_double_loop(self, rng, monkeypatch):
         batch = random_batch(rng, 12)
-        sims = similarity_matrix(batch)
+        monkeypatch.setattr(mining, "_BLOCK_ROWS", 5)  # blocks of 5, 5, 2
+        sims = block_sims(batch)
         for i in range(12):
             for j in range(12):
                 expect = batch.embeddings[i] @ batch.embeddings[j]
                 assert abs(sims[i, j] - expect) < 1e-12
 
     def test_symmetric_unit_diagonal(self, rng):
-        sims = similarity_matrix(random_batch(rng, 10))
+        sims = block_sims(random_batch(rng, 10))
         assert np.allclose(sims, sims.T, atol=1e-9)
         assert np.allclose(np.diag(sims), 1.0, atol=1e-9)
 
@@ -204,7 +218,7 @@ class TestMine:
 
     def test_hn_negative_is_argmax(self, rng):
         sims_batch = random_batch(rng, 30, classes=4)
-        sims = similarity_matrix(sims_batch)
+        sims = clipped_sims(sims_batch)
         for t in mine(sims_batch, MiningStrategy.HARD_NEGATIVE, seed=5):
             neg_mask = sims_batch.labels != sims_batch.labels[t.anchor]
             assert not np.any(
@@ -213,7 +227,7 @@ class TestMine:
 
     def test_shn_feasibility_when_possible(self, rng):
         batch = random_batch(rng, 30, classes=4)
-        sims = similarity_matrix(batch)
+        sims = clipped_sims(batch)
         for t in mine(batch, MiningStrategy.SEMI_HARD_NEGATIVE, seed=5):
             neg_mask = batch.labels != batch.labels[t.anchor]
             any_feasible = np.any(
@@ -224,7 +238,7 @@ class TestMine:
 
     def test_coord_matches_matrix(self, rng):
         batch = random_batch(rng, 16)
-        sims = similarity_matrix(batch)
+        sims = clipped_sims(batch)
         for t in mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, 0):
             assert t.coord.s_ap == sims[t.anchor, t.positive]
             assert t.coord.s_an == sims[t.anchor, t.negative]
@@ -271,7 +285,7 @@ def check_mining_against_brute_force(batch, seed):
         got = [(t.anchor, t.positive, t.negative)
                for t in mine(batch, strategy, seed)]
         assert got == brute_force_mine(batch, strategy, seed)
-    assert diagram_extract(batch) == brute_force_diagram(batch)
+    assert list(diagram_extract(batch)) == brute_force_diagram(batch)
 
 
 class TestHardPredicate:
@@ -284,21 +298,18 @@ class TestHardPredicate:
 
 
 class TestHardFraction:
-    def _triplet(self, s_ap, s_an):
-        from tripletlab.mining import MinedTriplet
+    """The trainer's hard fraction: the mean of is_hard over Triplets."""
 
-        return MinedTriplet(0, 1, 2, TripletCoord(s_ap, s_an))
+    def _fraction(self, *coords):
+        s_ap, s_an = np.array(coords).T
+        idx = np.zeros(len(coords), dtype=np.int64)
+        return np.mean(is_hard(Triplets(idx, idx + 1, idx + 2, s_ap, s_an)))
 
     def test_all_easy(self):
-        assert hard_fraction([self._triplet(0.9, 0.1)] * 4) == 0.0
+        assert self._fraction(*[(0.9, 0.1)] * 4) == 0.0
 
     def test_all_hard(self):
-        assert hard_fraction([self._triplet(0.1, 0.9)] * 4) == 1.0
+        assert self._fraction(*[(0.1, 0.9)] * 4) == 1.0
 
     def test_half_and_half(self):
-        triplets = [self._triplet(0.9, 0.1), self._triplet(0.1, 0.9)]
-        assert hard_fraction(triplets) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            hard_fraction([])
+        assert self._fraction((0.9, 0.1), (0.1, 0.9)) == 0.5

@@ -164,10 +164,32 @@ class TestSaveLoad:
         with pytest.raises(DatasetParseError, match="line 2"):
             load(path)
 
+    @pytest.mark.parametrize("label", ["99999999999999999999",
+                                       str(2**63), str(-2**63 - 1)])
+    def test_label_beyond_int64_rejected(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,x0,x1\n0,0.6,0.8\n{label},0.8,0.6\n")
+        with pytest.raises(DatasetParseError,
+                           match=f"line 3: label {label} does not fit"):
+            load(path)
+
+    def test_int64_extreme_labels_accepted(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(f"label,x0,x1\n{-2**63},0.6,0.8\n{2**63 - 1},0,1\n")
+        assert load(path).labels.tolist() == [-2**63, 2**63 - 1]
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_non_utf8_file_rejected(self, tmp_path, labeled):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,c\n0,0.6,0.8\n1,0.8,\xff6\n")
+        with pytest.raises(DatasetParseError,
+                           match=f"{path.name}: not UTF-8 text"):
+            read_table(path, labeled=labeled)
+
     def test_dataset_dim_and_classes(self):
         ds = generate(CFG)
         assert ds.dim == 16
-        assert ds.num_classes() == 8
+        assert np.unique(ds.labels).size == 8
         assert len(ds) == 256
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletlab.geometry import TripletCoord
-from tripletlab.losses import LossKind, LossSpec, loss_value
+from tripletlab.losses import LossKind, LossSpec, loss_values
 from tripletlab.mining import MinedTriplet, MiningStrategy
 from tripletlab.synthdata import DatasetConfig, generate
 from tripletlab.trainer import (
@@ -19,7 +19,7 @@ from tripletlab.trainer import (
     train,
 )
 
-from conftest import random_unit
+from conftest import random_unit, triplets_of
 
 FD_STEP = 1e-5
 
@@ -33,17 +33,15 @@ def small_dataset():
 
 
 def batch_loss(weight, xs, triplets, spec):
-    """Scalar mean triplet loss through embedding and normalization."""
+    """Mean triplet loss through embedding and normalization, from each
+    triplet's explicit dot products."""
     z = xs @ weight
     feats = z / np.linalg.norm(z, axis=1, keepdims=True)
-    total = 0.0
-    for t in triplets:
-        coord = TripletCoord(
-            float(feats[t.anchor] @ feats[t.positive]),
-            float(feats[t.anchor] @ feats[t.negative]),
-        )
-        total += loss_value(coord, spec)
-    return total / len(triplets)
+    coords = TripletCoord(
+        np.array([feats[t.anchor] @ feats[t.positive] for t in triplets]),
+        np.array([feats[t.anchor] @ feats[t.negative] for t in triplets]),
+    )
+    return float(np.mean(loss_values(coords, spec)))
 
 
 class TestForward:
@@ -85,12 +83,12 @@ class TestBackward:
         # labels [0,0,1,1,2,2]; coords filled in by mining normally but the
         # gradient path only needs the indices
         dummy = TripletCoord(0.0, 0.0)
-        return [
+        return triplets_of([
             MinedTriplet(0, 1, 2, dummy),
             MinedTriplet(2, 3, 4, dummy),
             MinedTriplet(4, 5, 0, dummy),
             MinedTriplet(1, 0, 5, dummy),
-        ]
+        ])
 
     @pytest.mark.parametrize(
         "spec",
@@ -133,14 +131,15 @@ class TestBackward:
             if coord.s_an < coord.s_ap:  # only inactive triplets
                 triplets.append(MinedTriplet(a, p, n, coord))
         if triplets:
-            grad = backward(params, xs, triplets, spec,
+            grad = backward(params, xs, triplets_of(triplets), spec,
                             GradMode.POST_PROJECTION)
             assert not np.any(grad)
 
     def test_empty_triplets_zero_gradient(self, rng):
         params = ModelParams(weight=rng.standard_normal((4, 3)))
         xs = np.stack([random_unit(rng, 4) for _ in range(4)])
-        grad = backward(params, xs, [], LossSpec(), GradMode.POST_PROJECTION)
+        grad = backward(params, xs, triplets_of([]), LossSpec(),
+                        GradMode.POST_PROJECTION)
         assert grad.shape == (4, 3)
         assert not np.any(grad)
 
@@ -156,7 +155,7 @@ class TestBackward:
         coord = TripletCoord(
             float(feats[0] @ feats[1]), float(feats[0] @ feats[2])
         )
-        triplets = [MinedTriplet(0, 1, 2, coord)]
+        triplets = triplets_of([MinedTriplet(0, 1, 2, coord)])
         spec = LossSpec(kind=LossKind.NCA)
         g_post = backward(ModelParams(weight=weight), xs, triplets, spec,
                           GradMode.POST_PROJECTION)
