@@ -1,7 +1,6 @@
 """Desk-scale laboratory for triplet-loss geometry on the unit hypersphere."""
 
 from .dynamics import (
-    GridSpec,
     SimilarityUpdate,
     StepParams,
     VectorField,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GridSpec, StepParams, step, trajectory, vector_field
+from .dynamics import StepParams, step, trajectory, vector_field
 from .evaluation import diagram_extract
 from .geometry import DegenerateVectorError, TripletCoord
 from .losses import LossKind, LossSpec, is_hard
@@ -162,9 +162,7 @@ def _step_params(cfg: dict) -> StepParams:
 
 
 def run_simulate(cfg: dict, arts: _Artifacts) -> str:
-    field = vector_field(
-        GridSpec(resolution=cfg["resolution"]), _step_params(cfg)
-    )
+    field = vector_field(cfg["resolution"], _step_params(cfg))
     arts.csv(
         "field_csv", ".field.csv",
         ["s_ap", "s_an", "d_sap", "d_san", "d_sap_total", "d_san_total"],

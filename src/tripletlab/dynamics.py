@@ -22,8 +22,9 @@ so the post-renormalization similarity deltas are
 
 The margin hinge has the analogous forms (beta enters the p' and n'
 mixing coefficients as well) with beta = 0, no motion, where the hinge
-argument is non-positive. A scalar entanglement model couples the two
-deltas through shared network weights:
+argument is non-positive; the selective loss has no closed-form step, so
+StepParams refuses it. A scalar entanglement model couples the two deltas
+through shared network weights:
 
     d_sap_total = d_sap + p * q * d_san,   q = s_ap * s_an
     d_san_total = d_san + p * q * d_sap.
@@ -71,7 +72,8 @@ class StepParams:
     learning_rate * sigma for the softmax loss and 2 * learning_rate for
     the margin loss. gamma is the plane-projection factor treated as a
     free coordinate (1.0 = co-planar worst case). entanglement_p scales
-    the cross-coupling model.
+    the cross-coupling model. The loss is nca or margin: the selective
+    loss has no closed-form step.
     """
 
     learning_rate: float
@@ -86,6 +88,9 @@ class StepParams:
             raise ValueError("gamma must be finite and lie in [-1, 1]")
         if not (np.isfinite(self.entanglement_p) and self.entanglement_p >= 0):
             raise ValueError("entanglement_p must be finite and >= 0")
+        if self.loss.kind == LossKind.SCT:
+            raise ValueError("diagram-space dynamics are defined for the nca "
+                             "and margin losses")
 
 
 class SimilarityUpdate(NamedTuple):
@@ -162,44 +167,14 @@ def step(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
     if params.loss.kind == LossKind.NCA:
         beta = params.learning_rate * softmax_weight(coord)
         return _closed_form(coord, params, beta, 0.0)
-    if params.loss.kind == LossKind.MARGIN:
-        active = hinge_argument(coord, params.loss.margin) > 0.0
-        return _closed_form(coord, params, 2.0 * params.learning_rate * active,
-                            1.0)
-    raise ValueError(
-        "diagram-space dynamics are defined for the nca and margin losses"
-    )
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Regular grid over the diagram square."""
-
-    resolution: int = 41
-    s_ap_min: float = -1.0
-    s_ap_max: float = 1.0
-    s_an_min: float = -1.0
-    s_an_max: float = 1.0
-
-    def __post_init__(self):
-        if not 2 <= self.resolution <= MAX_RESOLUTION:
-            raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
-        bounds = (self.s_ap_min, self.s_ap_max, self.s_an_min, self.s_an_max)
-        if not all(abs(b) <= 1.0 for b in bounds):  # also refuses NaN
-            raise ValueError("grid bounds must lie within [-1, 1]")
-
-    def s_ap_values(self) -> np.ndarray:
-        return np.linspace(self.s_ap_min, self.s_ap_max, self.resolution)
-
-    def s_an_values(self) -> np.ndarray:
-        return np.linspace(self.s_an_min, self.s_an_max, self.resolution)
+    active = hinge_argument(coord, params.loss.margin) > 0.0
+    return _closed_form(coord, params, 2.0 * params.learning_rate * active, 1.0)
 
 
 @dataclass(frozen=True)
 class VectorField:
     """Per-cell similarity deltas over a diagram grid (flat, row-major in s_ap)."""
 
-    grid: GridSpec
     params: StepParams
     s_ap: np.ndarray
     s_an: np.ndarray
@@ -212,13 +187,16 @@ class VectorField:
         return self.s_ap.shape[0]
 
 
-def vector_field(grid: GridSpec, params: StepParams) -> VectorField:
-    """Evaluate the single-step deltas on every grid cell; a non-finite
-    delta (the step overflows or zeroes a feature) raises
-    DegenerateVectorError."""
-    r = grid.resolution
-    s_ap = np.repeat(grid.s_ap_values(), r)
-    s_an = np.tile(grid.s_an_values(), r)
+def vector_field(resolution: int, params: StepParams) -> VectorField:
+    """Evaluate the single-step deltas on a resolution x resolution grid
+    over the diagram square [-1, 1]^2; a non-finite delta (the step
+    overflows or zeroes a feature) raises DegenerateVectorError."""
+    r = resolution
+    if not 2 <= r <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
+    values = np.linspace(-1.0, 1.0, r)
+    s_ap = np.repeat(values, r)
+    s_an = np.tile(values, r)
     deltas = np.empty((4, r * r))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, r * r, r):  # one s_ap row a call: small temporaries
@@ -228,7 +206,7 @@ def vector_field(grid: GridSpec, params: StepParams) -> VectorField:
     if not np.isfinite(deltas).all():
         raise DegenerateVectorError("vector field is not finite: a step "
                                     "overflows or zeroes a feature")
-    return VectorField(grid, params, s_ap, s_an, *deltas)
+    return VectorField(params, s_ap, s_an, *deltas)
 
 
 def trajectory(

@@ -58,8 +58,8 @@ def recall_at_k(
         top = masked.argmax(axis=1)[:, None]
         best = np.take_along_axis(masked, top, axis=1)  # -inf: no match
         ahead = (block > best) | ((block == best) & (np.arange(n_g) < top))
-        hits += np.count_nonzero(np.isfinite(best[:, 0])
-                                 & (np.count_nonzero(ahead, axis=1) < k))
+        hits += int(np.count_nonzero(np.isfinite(best[:, 0])
+                                     & (np.count_nonzero(ahead, axis=1) < k)))
     return RetrievalResult(k=k, recall=hits / n_q, num_queries=n_q)
 
 

@@ -5,7 +5,7 @@ Three losses over the diagram point (s_ap, s_an):
 * softmax-ratio loss  -log(exp(s_ap) / (exp(s_ap) + exp(s_an)))
 * margin hinge        max(2*(s_an - s_ap) + margin, 0) on the unit sphere
 * selectively contrastive: lam * s_an while the triplet is hard
-  (s_an > s_ap, strict), otherwise the configured base loss
+  (s_an > s_ap, strict), otherwise the softmax-ratio loss
 
 Gradients come in two flavors: with respect to the diagram coordinates
 (CoordGrad) and with respect to the raw feature vectors (FeatureGrads).
@@ -39,18 +39,13 @@ class LossKind(str, Enum):
 class LossSpec:
     """Which loss to run and its parameters.
 
-    lam is the contrastive weight of the selective loss's hard branch,
-    margin is the hinge offset of the margin loss (not the learning rate),
-    base selects the easy-branch loss of the selective variant, and
-    sct_moves_anchor controls whether the hard branch also updates the
-    anchor (on by default) or only the negative.
+    lam is the contrastive weight of the selective loss's hard branch and
+    margin is the hinge offset of the margin loss (not the learning rate).
     """
 
     kind: LossKind = LossKind.NCA
     lam: float = 1.0
     margin: float = 0.0
-    base: LossKind = LossKind.NCA
-    sct_moves_anchor: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -59,13 +54,6 @@ class LossSpec:
             raise ValueError(
                 f"margin must be finite and >= 0, got {self.margin}"
             )
-        if self.base == LossKind.SCT:
-            raise ValueError("base loss must be nca or margin")
-
-    @property
-    def easy_kind(self) -> LossKind:
-        """The loss outside the selective hard branch."""
-        return self.base if self.kind == LossKind.SCT else self.kind
 
 
 class CoordGrad(NamedTuple):
@@ -112,7 +100,7 @@ def is_hard(coord: TripletCoord) -> bool:
 def loss_values(coords, spec: LossSpec) -> np.ndarray:
     """Loss of every diagram point of coords (s_ap and s_an arrays, such
     as a mined Triplets), elementwise."""
-    if spec.easy_kind == LossKind.MARGIN:
+    if spec.kind == LossKind.MARGIN:
         values = np.maximum(hinge_argument(coords, spec.margin), 0.0)
     else:
         values = np.logaddexp(0.0, coords.s_an - coords.s_ap)
@@ -128,7 +116,7 @@ def coord_grads(coords, spec: LossSpec) -> CoordGrad:
     The margin hinge uses the inactive-side subgradient (zero) exactly at
     the boundary. The selective loss's hard branch reads off s_an only.
     """
-    if spec.easy_kind == LossKind.MARGIN:
+    if spec.kind == LossKind.MARGIN:
         d = np.where(hinge_argument(coords, spec.margin) > 0.0, 2.0, 0.0)
     else:
         d = softmax_weight(coords)
@@ -154,12 +142,11 @@ def batch_feature_grads(
     g_a = sigma*(f_n - f_p). For the margin loss with an active hinge:
     g_p = -2(f_a - f_p), g_n = +2(f_a - f_n), g_a = 2(f_n - f_p); all zero
     when inactive. The selective hard branch differentiates lam * f_a.f_n
-    directly: g_n = lam*f_a, g_a = lam*f_n (or zero if the anchor is
-    frozen), g_p = 0.
+    directly: g_n = lam*f_a, g_a = lam*f_n, g_p = 0.
     """
     coords = TripletCoord(_cosines(f_a, f_p), _cosines(f_a, f_n))
     d_sap, d_san = (d[:, None] for d in coord_grads(coords, spec))
-    if spec.easy_kind == LossKind.MARGIN:
+    if spec.kind == LossKind.MARGIN:
         # squared distances: ||f_a - f_p||^2 pulls f_p along f_a - f_p
         g_p, g_n = d_sap * (f_a - f_p), d_san * (f_a - f_n)
     else:
@@ -167,7 +154,6 @@ def batch_feature_grads(
     g_a = d_san * (f_n - f_p)
     if spec.kind == LossKind.SCT:
         hard = is_hard(coords)[:, None]
-        g_a_hard = spec.lam * f_n if spec.sct_moves_anchor else 0.0
-        g_a = np.where(hard, g_a_hard, g_a)
+        g_a = np.where(hard, spec.lam * f_n, g_a)
         g_n = np.where(hard, spec.lam * f_a, g_n)
     return FeatureGrads(g_a=g_a, g_p=g_p, g_n=g_n)

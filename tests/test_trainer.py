@@ -284,6 +284,15 @@ class TestTrain:
             assert 0.0 <= log.recall_at_1 <= 1.0
             assert -1.0 <= log.collapse <= 1.0
 
+    def test_float_fields_are_python_floats(self):
+        ds = small_dataset()
+        cfg = TrainConfig(strategy=MiningStrategy.HARD_NEGATIVE, **self.CFG)
+        _, logs = train(ds, cfg)
+        for log in logs:
+            for name in ("mean_loss", "hard_fraction", "recall_at_1",
+                         "collapse"):
+                assert type(getattr(log, name)) is float, name
+
     def test_snapshot_cadence_and_indices(self):
         ds = small_dataset()
         cfg = TrainConfig(strategy=MiningStrategy.HARD_NEGATIVE, **self.CFG)
