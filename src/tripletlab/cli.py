@@ -9,8 +9,9 @@ sha256 checksums, and is byte-deterministic given its flags.
 manifest and verifies the checksums still match.
 
 Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
-2 an unreadable, malformed or non-finite input file or manifest; 3 a zero
-vector, divergence, an overflowing epoch mean loss, a non-finite field or
+2 an unreadable, malformed or non-finite input file or manifest, or a
+dataset of fewer than two rows; 3 a zero or overflowing row, divergence,
+an overflowing SGD update or epoch mean loss, a non-finite field or
 trajectory step, or generated data that overflows. A refusal writes no
 manifest.
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from .dynamics import StepParams, step, trajectory, vector_field
 from .evaluation import diagram_extract
-from .geometry import DegenerateVectorError, TripletCoord
+from .geometry import DegenerateVectorError, TripletCoord, unit_rows
 from .losses import LossKind, LossSpec, is_hard
 from .mining import Batch, MiningStrategy, NoNegativesError
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
@@ -261,12 +262,9 @@ def run_diagram(cfg: dict, arts: _Artifacts) -> str:
                 f"weights expect input_dim {params.input_dim}, "
                 f"dataset has {dataset.dim}"
             )
-        feats = embed(params, dataset.points)
+        feats, _ = embed(params, dataset.points)
     else:
-        norms = np.linalg.norm(dataset.points, axis=1, keepdims=True)
-        if np.any(norms <= 1e-12):
-            raise DegenerateVectorError("dataset contains a zero vector")
-        feats = dataset.points / norms
+        feats, _ = unit_rows(dataset.points)
     triplets = diagram_extract(Batch(embeddings=feats, labels=dataset.labels))
     hard = is_hard(triplets)
     arts.csv("diagram_csv", ".diagram.csv",

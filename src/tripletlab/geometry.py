@@ -18,11 +18,26 @@ _COLINEAR_EPS = 1e-9
 
 
 class DegenerateVectorError(ValueError):
-    """Raised when a vector with (near-)zero norm cannot be normalized."""
+    """Raised for a zero or non-finite norm, or another non-finite value."""
 
 
 class UndefinedGammaError(ValueError):
     """Raised when gamma is requested for a triplet with a colinear pair."""
+
+
+def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows / norms, norms): each row on the unit sphere, and the norms
+    as an (n, 1) column. A norm that is not finite (it overflowed) or at
+    or below 1e-12 raises DegenerateVectorError, with no numpy warning.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+    if not np.isfinite(norms).all():
+        raise DegenerateVectorError("a row's norm overflows or is not finite")
+    if (norms <= 1e-12).any():
+        raise DegenerateVectorError("a row is a zero vector")
+    return rows / norms, norms
 
 
 class TripletCoord(NamedTuple):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DegenerateVectorError
+from .geometry import DegenerateVectorError, unit_rows
 
 FLOAT_FMT = "%.12g"
 # rows formatted at a time: lists of a whole table's values cost memory
@@ -86,21 +86,16 @@ def generate(config: DatasetConfig) -> LabeledDataset:
     tight clusters, 2.0 noise twice as strong as the class signal).
     """
     rng = np.random.default_rng(config.seed)
-    centers = rng.standard_normal((config.num_classes, config.input_dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    noise = rng.standard_normal(
-        (config.num_classes, config.per_class, config.input_dim)
-    ) / np.sqrt(config.input_dim)
+    k, m, d = config.num_classes, config.per_class, config.input_dim
+    centers, _ = unit_rows(rng.standard_normal((k, d)))
+    noise = rng.standard_normal((k, m, d)) / np.sqrt(d)
     with np.errstate(over="ignore", invalid="ignore"):
         points = centers[:, None, :] + config.intra_spread * noise
-        points = points.reshape(-1, config.input_dim)
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        raise DegenerateVectorError(
-            "a member's norm is not finite or is zero: the spread overflows"
-        )
-    points /= norms
-    labels = np.repeat(np.arange(config.num_classes), config.per_class)
+    try:
+        points, _ = unit_rows(points.reshape(-1, d))
+    except DegenerateVectorError as exc:
+        raise DegenerateVectorError(f"the spread overflows: {exc}") from exc
+    labels = np.repeat(np.arange(k), m)
     return LabeledDataset(points=points, labels=labels)
 
 
@@ -185,10 +180,13 @@ def _raise_first_bad_line(path: Path, header: list[str],
 
 
 def load(path: str | Path) -> LabeledDataset:
-    """Read a dataset CSV, reporting malformed lines by number."""
+    """Read a dataset CSV of at least two rows, reporting malformed lines
+    by number."""
     header, labels, points = read_table(path, labeled=True)
     if len(header) < 3 or header[0] != "label":
         raise DatasetParseError(
             f"{path}: line 1: expected header 'label,x0,...', got {header!r}"
         )
+    if len(labels) < 2:
+        raise DatasetParseError(f"{path}: a dataset needs at least 2 rows")
     return LabeledDataset(points=points, labels=labels)

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .evaluation import collapse_metric, recall_at_k
-from .geometry import DegenerateVectorError
+from .geometry import DegenerateVectorError, unit_rows
 from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
 from .mining import Batch, MiningStrategy, Triplets, mine
 from .synthdata import LabeledDataset
@@ -56,8 +56,8 @@ class ModelParams:
         object.__setattr__(self, "weight", w)
         if w.ndim != 2:
             raise ValueError("weight must be a 2D matrix")
-        if not np.isfinite(w).all():
-            raise ValueError("weight entries must be finite")
+        if not np.isfinite(w).all():  # an SGD update that overflowed
+            raise DegenerateVectorError("weight entries must be finite")
 
     @property
     def input_dim(self) -> int:
@@ -111,22 +111,15 @@ class EpochLog:
     snapshot: Triplets | None = None
 
 
-def embed(params: ModelParams, xs: np.ndarray) -> np.ndarray:
-    """Embed rows of xs onto the unit sphere.
+def embed(params: ModelParams, xs: np.ndarray) -> tuple[np.ndarray,
+                                                     np.ndarray]:
+    """Embed rows of xs onto the unit sphere: (features, norms), the norms
+    of the unnormalized embeddings as an (n, 1) column.
 
     A zero or non-finite norm raises DegenerateVectorError; the latter is
     where a run diverging under too large a learning rate first shows.
     """
-    z = np.asarray(xs, dtype=np.float64) @ params.weight
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-    if not np.isfinite(norms).all():
-        raise DegenerateVectorError(
-            "embedding norm is not finite: training diverged"
-        )
-    if (norms <= 1e-12).any():
-        raise DegenerateVectorError("embedding collapsed to a zero vector")
-    return z / norms
+    return unit_rows(np.asarray(xs, dtype=np.float64) @ params.weight)
 
 
 def init_params(input_dim: int, embed_dim: int, seed: int) -> ModelParams:
@@ -136,27 +129,21 @@ def init_params(input_dim: int, embed_dim: int, seed: int) -> ModelParams:
     return ModelParams(weight=w)
 
 
-def backward(
-    params: ModelParams,
-    inputs: np.ndarray,
-    triplets: Triplets,
-    loss: LossSpec,
-    grad_mode: GradMode,
-) -> np.ndarray:
+def backward(inputs: np.ndarray, feats: np.ndarray, norms: np.ndarray,
+             triplets: Triplets, loss: LossSpec,
+             grad_mode: GradMode) -> np.ndarray:
     """Gradient of the mean triplet loss with respect to the weights.
 
-    Triplet indices refer to rows of inputs. Per-feature gradients from
+    feats, norms = embed(params, inputs) at the weights differentiated;
+    triplet indices refer to rows of inputs. Per-feature gradients from
     one batched loss evaluation are summed per row in triplet order
     (anchor, positive, negative, then the next triplet), optionally pushed
     through the normalization Jacobian, then chained through the linear map.
     """
     t = triplets
-    if not t:
-        return np.zeros_like(params.weight)
     xs = np.asarray(inputs, dtype=np.float64)
-    z = xs @ params.weight
-    z_norms = np.sqrt((z * z).sum(axis=1))
-    feats = z / z_norms[:, None]
+    if not t:
+        return np.zeros((xs.shape[1], feats.shape[1]))
     grads = batch_feature_grads(
         feats[t.anchor], feats[t.positive], feats[t.negative], loss
     )
@@ -166,7 +153,7 @@ def backward(
               * np.stack(grads, axis=1).reshape(rows.size, -1))
     if grad_mode == GradMode.THROUGH_NORMALIZATION:
         radial = np.sum(grad_feat * feats, axis=1, keepdims=True)
-        grad_z = (grad_feat - feats * radial) / z_norms[:, None]
+        grad_z = (grad_feat - feats * radial) / norms
     else:
         grad_z = grad_feat
     return xs.T @ grad_z
@@ -195,8 +182,8 @@ def train(
     recall@1 (self excluded) and mean off-diagonal similarity over the
     full dataset embedding. Every snapshot_every epochs the log keeps the
     last batch's mined triplets with indices remapped to dataset rows.
-    Raises DegenerateVectorError when training diverges or an epoch's
-    mean loss overflows.
+    Raises DegenerateVectorError when training diverges (an embedding
+    norm or an SGD update overflows) or an epoch's mean loss overflows.
     """
     rows = np.argsort(dataset.labels, kind="stable")
     _, start, size = np.unique(dataset.labels[rows], return_index=True,
@@ -221,18 +208,19 @@ def train(
             idx = _sample_batch(rng, rows, start, size,
                                 config.classes_per_batch)
             xs = dataset.points[idx]
-            feats = embed(params, xs)
+            feats, norms = embed(params, xs)
             batch = Batch(embeddings=feats, labels=dataset.labels[idx])
             mined = mine(
                 batch, config.strategy, seed=int(rng.integers(_SEED_MAX))
             )
             losses.append(loss_values(mined, config.loss))
             hard.append(is_hard(mined))
-            grad = backward(params, xs, mined, config.loss, config.grad_mode)
-            params = ModelParams(
-                weight=params.weight - config.learning_rate * grad
-            )
-        all_feats = embed(params, dataset.points)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = backward(xs, feats, norms, mined, config.loss,
+                                config.grad_mode)
+                weight = params.weight - config.learning_rate * grad
+            params = ModelParams(weight=weight)
+        all_feats, _ = embed(params, dataset.points)
         full = Batch(embeddings=all_feats, labels=dataset.labels)
         result = recall_at_k(full, full, k=1, exclude_self=True)
         with np.errstate(over="ignore"):

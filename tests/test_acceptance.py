@@ -24,7 +24,14 @@ from tripletlab.losses import (
 )
 from tripletlab.mining import Batch, MiningStrategy, mine
 from tripletlab.evaluation import recall_at_k
-from tripletlab.trainer import GradMode, ModelParams, TrainConfig, backward, train
+from tripletlab.trainer import (
+    GradMode,
+    ModelParams,
+    TrainConfig,
+    backward,
+    embed,
+    train,
+)
 from tripletlab.cli import main as cli_main
 
 from conftest import random_unit, sphere_step_oracle, triplets_of
@@ -141,7 +148,7 @@ def test_criterion_2_gradient_correctness():
                 triplets.append(tl.MinedTriplet(a, p, n, c))
             else:
                 triplets = triplets_of(triplets)
-                grad = backward(params, xs, triplets, spec,
+                grad = backward(xs, *embed(params, xs), triplets, spec,
                                 GradMode.THROUGH_NORMALIZATION)
                 for i in range(4):
                     for j in range(3):

@@ -318,6 +318,12 @@ def _train(data, *flags):
                  id="divergence"),
     pytest.param(_train("{d}/data.csv", "--loss", "margin", "--margin",
                         "1e308"), 3, id="mean loss overflow"),
+    pytest.param(_train("{d}/data.csv", "--loss", "sct", "--lambda", "1e308",
+                        "--lr", "10", "--grad-mode", "post"), 3,
+                 id="update overflow"),
+    pytest.param(_train("{d}/data.csv", "--loss", "sct", "--lambda",
+                        "1.7976931348623157e308", "--lr", "1"), 3,
+                 id="loss gradient overflow"),
     pytest.param(gen_args(out="n.csv", spread="nan"), 1, id="spread nan"),
     pytest.param(["simulate", "--gamma", "nan", "--out-prefix", "f"], 1,
                  id="gamma nan"),
@@ -367,6 +373,11 @@ def _train(data, *flags):
     pytest.param(["diagram", "--data", "{d}/nan_data.csv",
                   "--out-prefix", "d"], 2, id="nan dataset diagram"),
     pytest.param(_train("{d}/nan_data.csv"), 2, id="nan dataset train"),
+    pytest.param(["diagram", "--data", "{d}/big_row.csv",
+                  "--out-prefix", "d"], 3, id="overflowing row diagram"),
+    pytest.param(["diagram", "--data", "{d}/one_row.csv",
+                  "--out-prefix", "d"], 2, id="one-row dataset diagram"),
+    pytest.param(_train("{d}/one_row.csv"), 2, id="one-row dataset train"),
     pytest.param(_train("{d}/big_label.csv"), 2, id="int64 label train"),
     pytest.param(["diagram", "--data", "{d}/big_label.csv",
                   "--out-prefix", "d"], 2, id="int64 label diagram"),
@@ -395,6 +406,10 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     (outdir / "nan_data.csv").write_text(
         "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n1,nan,0\n1,0,1\n"
     )
+    (outdir / "big_row.csv").write_text(
+        "label,x0,x1\n0,0.6,0.8\n0,1e200,1e200\n1,0.8,0.6\n1,0,1\n"
+    )
+    (outdir / "one_row.csv").write_text("label,x0,x1\n0,0.6,0.8\n")
     (outdir / "big_label.csv").write_text(
         "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n99999999999999999999,0,1\n"
     )
@@ -459,6 +474,7 @@ ADVERSARIAL_COMMANDS = {
              batches_per_epoch=2, out_prefix="r"),
         dict(loss=st.sampled_from(["nca", "margin", "sct"]),
              miner=st.sampled_from(["random", "hn", "shn", "ep", "ephn"]),
+             grad_mode=st.sampled_from(["post", "through"]),
              lr=REALS, margin=REALS, epochs=sizes(MAX_EPOCHS + 1, 10**12),
              classes_per_batch=sizes(), embed_dim=sizes(1025, 10**9),
              seed=sizes(), snapshot_every=sizes(),

@@ -63,6 +63,9 @@ FIELDS = {
 PARAMETERS = {
     tripletlab.vector_field: ["resolution", "params"],
     svg.line_chart: ["series", "title"],
+    tripletlab.embed: ["params", "xs"],
+    tripletlab.backward: ["inputs", "feats", "norms", "triplets", "loss",
+                          "grad_mode"],
 }
 
 MODULES = sorted(f"tripletlab.{m.name}"

@@ -48,7 +48,7 @@ class TestForward:
     """The forward pass: embed on one row."""
 
     def one(self, params, x):
-        return embed(params, x[None, :])[0]
+        return embed(params, x[None, :])[0][0]
 
     def test_identity_weight_passthrough(self, rng):
         x = random_unit(rng, 5)
@@ -72,7 +72,7 @@ class TestForward:
         """Each row of a batch embed is normalize(W^T x) of that row."""
         params = ModelParams(weight=rng.standard_normal((6, 4)))
         xs = np.stack([random_unit(rng, 6) for _ in range(8)])
-        feats = embed(params, xs)
+        feats, _ = embed(params, xs)
         for i in range(8):
             z = params.weight.T @ xs[i]
             assert np.allclose(feats[i], z / np.linalg.norm(z), atol=1e-12)
@@ -104,7 +104,7 @@ class TestBackward:
         weight = rng.standard_normal((4, 3))
         triplets = self.fixed_triplets()
         grad = backward(
-            ModelParams(weight=weight), xs, triplets, spec,
+            xs, *embed(ModelParams(weight=weight), xs), triplets, spec,
             GradMode.THROUGH_NORMALIZATION,
         )
         for i in range(4):
@@ -122,7 +122,7 @@ class TestBackward:
         params = ModelParams(weight=rng.standard_normal((4, 3)))
         # margin huge in the easy direction: hinge inactive for everything
         spec = LossSpec(kind=LossKind.MARGIN, margin=0.0)
-        feats = embed(params, xs)
+        feats, norms = embed(params, xs)
         triplets = []
         for a, p, n in [(0, 1, 2), (2, 3, 4)]:
             coord = TripletCoord(
@@ -131,14 +131,14 @@ class TestBackward:
             if coord.s_an < coord.s_ap:  # only inactive triplets
                 triplets.append(MinedTriplet(a, p, n, coord))
         if triplets:
-            grad = backward(params, xs, triplets_of(triplets), spec,
+            grad = backward(xs, feats, norms, triplets_of(triplets), spec,
                             GradMode.POST_PROJECTION)
             assert not np.any(grad)
 
     def test_empty_triplets_zero_gradient(self, rng):
         params = ModelParams(weight=rng.standard_normal((4, 3)))
         xs = np.stack([random_unit(rng, 4) for _ in range(4)])
-        grad = backward(params, xs, triplets_of([]), LossSpec(),
+        grad = backward(xs, *embed(params, xs), triplets_of([]), LossSpec(),
                         GradMode.POST_PROJECTION)
         assert grad.shape == (4, 3)
         assert not np.any(grad)
@@ -150,16 +150,16 @@ class TestBackward:
         rng = np.random.default_rng(11)
         weight = np.stack([random_unit(rng, 3) for _ in range(3)])
         xs = np.eye(3)
-        feats = embed(ModelParams(weight=weight), xs)
+        feats, norms = embed(ModelParams(weight=weight), xs)
         assert np.allclose(feats, weight, atol=1e-12)  # rows already unit
         coord = TripletCoord(
             float(feats[0] @ feats[1]), float(feats[0] @ feats[2])
         )
         triplets = triplets_of([MinedTriplet(0, 1, 2, coord)])
         spec = LossSpec(kind=LossKind.NCA)
-        g_post = backward(ModelParams(weight=weight), xs, triplets, spec,
+        g_post = backward(xs, feats, norms, triplets, spec,
                           GradMode.POST_PROJECTION)
-        g_through = backward(ModelParams(weight=weight), xs, triplets, spec,
+        g_through = backward(xs, feats, norms, triplets, spec,
                              GradMode.THROUGH_NORMALIZATION)
         for i in range(3):
             f = feats[i]
