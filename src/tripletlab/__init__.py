@@ -35,7 +35,6 @@ from .mining import (
     Batch,
     MinedTriplet,
     MiningStrategy,
-    NoNegativesError,
     Triplets,
     mine,
 )

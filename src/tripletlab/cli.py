@@ -9,11 +9,11 @@ sha256 checksums, and is byte-deterministic given its flags.
 manifest and verifies the checksums still match.
 
 Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
-2 an unreadable, malformed or non-finite input file or manifest, or a
-dataset of fewer than two rows; 3 a zero or overflowing row, divergence,
-an overflowing SGD update or epoch mean loss, a non-finite field or
-trajectory step, or generated data that overflows. A refusal writes no
-manifest.
+2 an unreadable, malformed or non-finite input file or manifest, a
+dataset of fewer than two rows, or a train dataset with a one-member
+class; 3 a zero or overflowing row, divergence, an overflowing SGD update
+or epoch mean loss, a non-finite field or trajectory step, or generated
+data that overflows. A refusal writes no manifest.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .dynamics import StepParams, step, trajectory, vector_field
 from .evaluation import diagram_extract
 from .geometry import DegenerateVectorError, TripletCoord, unit_rows
 from .losses import LossKind, LossSpec, is_hard
-from .mining import Batch, MiningStrategy, NoNegativesError
+from .mining import Batch, MiningStrategy
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
 from .synthdata import (
     DatasetConfig,
@@ -461,7 +461,7 @@ def main(argv=None) -> int:
         cfg = {key: getattr(args, key) for key in keys}
         _execute(parser.commands, args.command, cfg, ctx)
         return EXIT_OK
-    except (DatasetParseError, NoNegativesError, OSError) as exc:
+    except (DatasetParseError, OSError) as exc:
         kind, code, error = "data", EXIT_DATA, exc
     except DegenerateVectorError as exc:
         kind, code, error = "numeric", EXIT_NUMERIC, exc

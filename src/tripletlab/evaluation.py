@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mining import (Batch, MiningStrategy, NoNegativesError, Triplets,
-                     _row_blocks, mine)
+from .mining import Batch, MiningStrategy, Triplets, _row_blocks, mine
 
 
 class RetrievalResult(NamedTuple):
@@ -40,8 +39,6 @@ def recall_at_k(
         raise ValueError("k must be >= 1")
     n_q = len(queries)
     n_g = len(gallery)
-    if n_q == 0:
-        raise ValueError("empty query set")
     if exclude_self:
         if n_q != n_g:
             raise ValueError(
@@ -77,13 +74,9 @@ def diagram_extract(batch: Batch) -> Triplets:
     """Easiest-positive / hardest-negative diagram point for every item.
 
     For each item: s_ap is the maximum same-class similarity (self
-    excluded) and s_an the maximum different-class similarity. Items whose
-    class has no second member, or with no different-class item at all,
-    are skipped. These are the ephn miner's triplets, which draw nothing
-    at random.
+    excluded) and s_an the maximum different-class similarity. These are
+    the ephn miner's triplets, which draw nothing at random: an item
+    whose class has no second member is skipped, and a batch of one class
+    gives no point.
     """
-    try:
-        return mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, seed=0)
-    except NoNegativesError:  # a single class: no item has a negative
-        none = np.empty(0, dtype=np.int64)
-        return Triplets(none, none, none, np.empty(0), np.empty(0))
+    return mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, seed=0)

@@ -153,7 +153,7 @@ def batch_feature_grads(
         g_p, g_n = d_sap * f_a, d_san * f_a
     g_a = d_san * (f_n - f_p)
     if spec.kind == LossKind.SCT:
+        # on hard rows d_san is lam, so g_n is already lam * f_a
         hard = is_hard(coords)[:, None]
         g_a = np.where(hard, spec.lam * f_n, g_a)
-        g_n = np.where(hard, spec.lam * f_a, g_n)
     return FeatureGrads(g_a=g_a, g_p=g_p, g_n=g_n)

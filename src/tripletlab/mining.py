@@ -1,14 +1,15 @@
 """Batch triplet mining on the similarity matrix.
 
 A batch is a set of unit embeddings with class labels. Each strategy emits
-one triplet per eligible anchor (an anchor is eligible when its class has a
-second member; singleton-class anchors are skipped). Selection is a masked
-argmax (or argmin) over label-masked rows of the batch similarity matrix,
+one triplet per anchor. An item anchors when its class has a second member
+and the batch holds another class, so a batch of one class, or of
+singleton classes only, mines no triplet. Selection is a masked argmax
+(or argmin) over label-masked rows of the batch similarity matrix,
 computed one block of rows at a time, so ties are always broken toward
 the lowest index. Random picks come from the caller's seed: one uniform
-draw per eligible anchor and random role, in anchor order, with the
-positive drawn before the negative under ``random``. Mining is a pure
-function of (batch, strategy, seed).
+draw per anchor and random role, in anchor order, with the positive drawn
+before the negative under ``random``. Mining is a pure function of
+(batch, strategy, seed).
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .geometry import TripletCoord
 _BLOCK_ROWS = 256
 
 
-class NoNegativesError(ValueError):
-    """Raised when a batch has no second class to mine negatives from."""
-
-
 @dataclass(frozen=True)
 class Batch:
     """Unit embeddings with parallel class labels."""
@@ -48,7 +45,8 @@ class Batch:
             raise ValueError("embeddings and labels must be parallel arrays")
         if emb.shape[0] < 2:
             raise ValueError("a batch needs at least 2 items")
-        norms = np.sqrt((emb * emb).sum(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt((emb * emb).sum(axis=1))
         if not (np.abs(norms - 1.0) <= 1e-6).all():  # NaN fails too
             raise ValueError("batch embeddings must be unit vectors")
 
@@ -123,7 +121,8 @@ def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
-    """Select one triplet per eligible anchor.
+    """Select one triplet per anchor: every item whose class has a second
+    member, if the batch holds another class.
 
     hn   : most similar different-class negative, random positive
     shn  : most similar negative still below the chosen positive's
@@ -136,17 +135,15 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     A draw whose range holds one value, such as the only positive of a
     two-per-class batch, would return 0: when no draw has a wider range,
     no generator is built and every pick is the same as drawn.
-    Raises NoNegativesError when the batch holds a single class.
     """
     strategy = MiningStrategy(strategy)
     labels = batch.labels
     ordered = np.sort(labels)
-    if ordered[0] == ordered[-1]:
-        raise NoNegativesError("batch contains a single class; no negatives")
     # each item's class size: the span of its label in the sorted labels
     size = (np.searchsorted(ordered, labels, "right")
             - np.searchsorted(ordered, labels, "left"))
-    anchors = np.flatnonzero(size > 1)  # singleton classes anchor nothing
+    # an anchor needs a positive and a negative
+    anchors = np.flatnonzero((size > 1) & (size < len(batch)))
     random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
                                 MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE)
     random_n = strategy in (MiningStrategy.RANDOM,

@@ -29,7 +29,8 @@ MAX_CELLS = 2**24
 
 
 class DatasetParseError(ValueError):
-    """Malformed dataset file; message carries the 1-based line number."""
+    """A dataset a command cannot use: a malformed file, whose message
+    carries the 1-based line number, or a class too small to sample."""
 
 
 @dataclass(frozen=True)

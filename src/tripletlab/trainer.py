@@ -30,7 +30,7 @@ from .evaluation import collapse_metric, recall_at_k
 from .geometry import DegenerateVectorError, unit_rows
 from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
 from .mining import Batch, MiningStrategy, Triplets, mine
-from .synthdata import LabeledDataset
+from .synthdata import DatasetParseError, LabeledDataset
 
 _SEED_MAX = 2**63 - 1
 MAX_EMBED_DIM = 1024  # checked before the weights are allocated
@@ -182,8 +182,9 @@ def train(
     recall@1 (self excluded) and mean off-diagonal similarity over the
     full dataset embedding. Every snapshot_every epochs the log keeps the
     last batch's mined triplets with indices remapped to dataset rows.
-    Raises DegenerateVectorError when training diverges (an embedding
-    norm or an SGD update overflows) or an epoch's mean loss overflows.
+    Raises DatasetParseError when a class has one member, and
+    DegenerateVectorError when training diverges (an embedding norm or an
+    SGD update overflows) or an epoch's mean loss overflows.
     """
     rows = np.argsort(dataset.labels, kind="stable")
     _, start, size = np.unique(dataset.labels[rows], return_index=True,
@@ -191,7 +192,9 @@ def train(
     if size.size < config.classes_per_batch:
         raise ValueError("dataset has fewer classes than classes_per_batch")
     if (size < 2).any():
-        raise ValueError("every class needs at least 2 members for sampling")
+        raise DatasetParseError(
+            "every class needs at least 2 members for sampling"
+        )
     n = len(dataset)
     batches = config.batches_per_epoch or max(
         1, round(n / (2 * config.classes_per_batch))

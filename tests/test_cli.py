@@ -394,6 +394,17 @@ def _train(data, *flags):
                  id="manifest spread nan"),
     pytest.param(["rerun", "{d}/one_class.manifest.json"], 2,
                  id="manifest one class"),
+    pytest.param(_train("{d}/one_member.csv"), 2,
+                 id="one-member class train"),
+    pytest.param(["diagram", "--data", "{d}/data.csv", "--weights",
+                  "{d}/narrow_weights.csv", "--out-prefix", "d"], 2,
+                 id="weights input_dim mismatch"),
+    pytest.param(["diagram", "--data", "{d}/bad_header.csv",
+                  "--out-prefix", "d"], 2, id="bad dataset header"),
+    pytest.param(_train("{d}/header_only.csv"), 2,
+                 id="header-only dataset train"),
+    pytest.param(["rerun", "{d}/command.manifest.json"], 2,
+                 id="manifest unknown command"),
 ])
 def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     """Inputs that once escaped as tracebacks or exited 0 with NaN
@@ -410,6 +421,14 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
         "label,x0,x1\n0,0.6,0.8\n0,1e200,1e200\n1,0.8,0.6\n1,0,1\n"
     )
     (outdir / "one_row.csv").write_text("label,x0,x1\n0,0.6,0.8\n")
+    (outdir / "one_member.csv").write_text(
+        "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n1,0,1\n2,1,0\n2,0.6,0.8\n"
+    )
+    (outdir / "narrow_weights.csv").write_text("\n".join(weights[:4]) + "\n")
+    (outdir / "bad_header.csv").write_text(
+        "y,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n1,0,1\n"
+    )
+    (outdir / "header_only.csv").write_text("label,x0,x1\n")
     (outdir / "big_label.csv").write_text(
         "label,x0,x1\n0,0.6,0.8\n0,0.8,0.6\n99999999999999999999,0,1\n"
     )
@@ -421,6 +440,9 @@ def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     )
     (outdir / "bad.manifest.json").write_text(json.dumps(
         {"command": "train", "config": {}, "checksums": {}}
+    ))
+    (outdir / "command.manifest.json").write_text(json.dumps(
+        {"command": "gen-noise", "config": {}, "checksums": {}}
     ))
     for name, key, value in [("typed", "classes", "4"),
                              ("nan_spread", "spread", float("nan")),

@@ -98,6 +98,12 @@ class TestRecallAtK:
         with pytest.raises(ValueError):
             recall_at_k(q, q, k=4, exclude_self=True)
 
+    def test_exclude_self_needs_equal_sizes(self, rng):
+        q = random_labeled_batch(rng, 4)
+        g = random_labeled_batch(rng, 5)
+        with pytest.raises(ValueError, match="equal size"):
+            recall_at_k(q, g, k=1, exclude_self=True)
+
 
 @st.composite
 def retrieval_cases(draw, exact=False):

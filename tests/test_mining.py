@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from tripletlab.mining import (
     Batch,
     MinedTriplet,
     MiningStrategy,
-    NoNegativesError,
     Triplets,
     mine,
 )
@@ -46,7 +47,7 @@ def brute_force_mine(batch, strategy, seed):
         neg = [
             j for j in range(len(batch)) if batch.labels[j] != batch.labels[a]
         ]
-        if not pos:
+        if not pos or not neg:
             continue
 
         def best(indices, key, reverse):
@@ -121,6 +122,12 @@ class TestBatch:
         with pytest.raises(ValueError, match="unit vectors"):
             Batch(embeddings=[[np.nan, 0.0], [1.0, 0.0]], labels=[0, 1])
 
+    def test_overflowing_row_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unit vectors"):
+                Batch(embeddings=[[1e200, 0.0], [0.0, 1.0]], labels=[0, 1])
+
 
 def block_sims(batch):
     """The similarity rows of mining._row_blocks, stacked; each block must
@@ -181,10 +188,11 @@ class TestMine:
             if t.anchor in (0, 1):
                 assert t.negative == 2
 
-    def test_single_class_raises(self):
+    def test_single_class_mines_nothing(self):
         batch = Batch(embeddings=np.eye(3), labels=[5, 5, 5])
-        with pytest.raises(NoNegativesError):
-            mine(batch, MiningStrategy.RANDOM, seed=0)
+        for strategy in MiningStrategy:
+            assert len(mine(batch, strategy, seed=0)) == 0
+        assert len(diagram_extract(batch)) == 0
 
     def test_singleton_class_anchor_skipped(self):
         batch = Batch(embeddings=np.eye(3), labels=[0, 0, 1])
@@ -250,7 +258,7 @@ class TestMine:
 def test_mining_and_diagram_match_brute_force_with_ties(batch, exact, seed):
     """Random batches with singleton classes and exact ties: every miner
     matches brute_force_mine, diagram_extract matches a double loop, and a
-    single-class batch has no negatives. The exact batch runs in blocks
+    single-class batch mines nothing. The exact batch runs in blocks
     of 3 rows, which split the anchors across blocks; its products
     are exact, so the blocks keep the whole-matrix product's bits."""
     check_mining_against_brute_force(batch, seed)
@@ -277,8 +285,7 @@ def test_blocks_of_anchors_and_of_mixed_rows_match_brute_force(seed):
 def check_mining_against_brute_force(batch, seed):
     if len(np.unique(batch.labels)) < 2:
         for strategy in MiningStrategy:
-            with pytest.raises(NoNegativesError):
-                mine(batch, strategy, seed)
+            assert len(mine(batch, strategy, seed)) == 0
         assert len(diagram_extract(batch)) == 0
         return
     for strategy in MiningStrategy:

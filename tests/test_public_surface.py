@@ -30,8 +30,7 @@ EXPORTED = {
     "CoordGrad", "FeatureGrads", "LossKind", "LossSpec",
     "batch_feature_grads", "coord_grads", "is_hard", "loss_values",
     # mining
-    "Batch", "MinedTriplet", "MiningStrategy", "NoNegativesError",
-    "Triplets", "mine",
+    "Batch", "MinedTriplet", "MiningStrategy", "Triplets", "mine",
     # synthdata
     "DatasetConfig", "DatasetParseError", "LabeledDataset", "generate",
     "load", "save",
@@ -45,7 +44,7 @@ DELETED = {
     "loss_value", "nca_loss", "margin_loss", "sct_loss", "coord_grad",
     "feature_grads", "TripletFeatures", "coord_of", "normalize", "cosine",
     "similarity_matrix", "hard_fraction", "step_nca", "step_margin",
-    "GridSpec",
+    "GridSpec", "NoNegativesError",
 }
 
 # every setting, each one set by the CLI or the benchmark harness
