@@ -3,10 +3,12 @@ rollout, training, and diagram export.
 
 Every command resolves relative output paths against $TRIPLETLAB_OUT
 (default: the working directory), writes its artifacts (each CSV from whole
-columns through ``synthdata.write_table``) plus a JSON run manifest with
-sha256 checksums, and is byte-deterministic given its flags.
-``tripletlab rerun <manifest>`` re-executes a recorded run next to the
-manifest and verifies the checksums still match.
+columns through ``synthdata.write_table``) plus a JSON run manifest that
+records its flag values exactly and the sha256 of each artifact, and is
+byte-deterministic given its flags. ``tripletlab rerun <manifest>``
+re-executes a recorded run next to the manifest and reports every
+artifact: ok, MISMATCH, MISSING (recorded, not written) or UNRECORDED
+(written, not recorded); any but ok exits 2.
 
 Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
 2 an unreadable, malformed or non-finite input file or manifest, a
@@ -23,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +54,9 @@ EXIT_NUMERIC = 3
 OUT_DIR_ENV = "TRIPLETLAB_OUT"
 
 
-@dataclass(frozen=True)
-class PathContext:
-    """Where relative outputs and inputs resolve to (absolute ones stay)."""
-
-    out_base: Path
-    in_base: Path
-
-
 def _round12(obj):
-    """Round floats to 12 significant digits, recursively."""
+    """Round floats to 12 significant digits, recursively: the epoch
+    records' precision (flags are recorded exactly)."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -70,10 +64,6 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     return obj
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_round12(obj), indent=2) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -93,53 +83,51 @@ def _triplet_columns(t) -> list[np.ndarray]:
 class _Artifacts:
     """The files of one run, named from its output prefix.
 
-    Each artifact is ``<prefix><suffix>`` and is listed in the manifest
-    under its key, in the order it was added.
+    Relative outputs resolve against out_base and inputs against in_base
+    (absolute ones stay). Each artifact is ``<prefix><suffix>`` and is
+    listed in the manifest under its key, in the order it was added.
     """
 
-    def __init__(self, ctx: PathContext, prefix: str):
-        self.ctx = ctx
+    def __init__(self, out_base: Path, in_base: Path, prefix: str):
+        self.out_base = out_base
+        self.in_base = in_base
         self.prefix = prefix
         self.outputs: dict[str, str] = {}
 
     def path(self, key: str, suffix: str) -> Path:
         """List an artifact and return where to write it."""
         self.outputs[key] = Path(self.prefix).name + suffix
-        path = self.ctx.out_base / (self.prefix + suffix)
+        path = self.out_base / (self.prefix + suffix)
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
 
-    def csv(self, key: str, suffix: str, header: list[str], columns) -> None:
-        write_table(self.path(key, suffix), header, columns)
-
-    def text(self, key: str, suffix: str, text: str) -> None:
-        self.path(key, suffix).write_text(text)
-
-    def manifest(self, command: str, cfg: dict, summary: str) -> None:
-        """Record command, resolved config, and artifact checksums, then
-        print ``<summary> <manifest path>``.
+    def manifest(self, command: str, cfg: dict, summary: str) -> dict:
+        """Record the command, its flag values exactly as given, and each
+        artifact's checksum; print ``<summary> <manifest path>`` and
+        return the checksums by name.
 
         Output names are stored relative to the manifest's own directory
         and the stored config carries basename prefixes, so a manifest
         plus its sibling files is a relocatable, re-runnable unit and a
         rerun rewrites the manifest byte-identically.
         """
-        path = self.ctx.out_base / f"{self.prefix}.manifest.json"
+        path = self.out_base / f"{self.prefix}.manifest.json"
         checksums = {
             name: _sha256(path.parent / name) for name in self.outputs.values()
         }
-        path.write_text(_json_text({
+        path.write_text(json.dumps({
             "command": command,
             "config": _basenames(cfg),
             "seed": cfg.get("seed"),
             "outputs": self.outputs,
             "checksums": checksums,
-        }))
+        }, indent=2) + "\n")
         print(f"{summary} {path}")
+        return checksums
 
 
 # ---------------------------------------------------------------- commands
-# Each runner writes its artifacts through ``arts`` and returns the start
+# Each runner writes its artifacts at ``arts.path`` and returns the start
 # of its summary line; ``_execute`` then writes the manifest.
 
 
@@ -164,22 +152,19 @@ def _step_params(cfg: dict) -> StepParams:
 
 def run_simulate(cfg: dict, arts: _Artifacts) -> str:
     field = vector_field(cfg["resolution"], _step_params(cfg))
-    arts.csv(
-        "field_csv", ".field.csv",
+    write_table(
+        arts.path("field_csv", ".field.csv"),
         ["s_ap", "s_an", "d_sap", "d_san", "d_sap_total", "d_san_total"],
         [field.s_ap, field.s_an, field.d_sap, field.d_san,
          field.d_sap_total, field.d_san_total],
     )
-    arts.text(
-        "field_svg", ".field.svg",
-        field_quiver(
-            field.s_ap, field.s_an, field.d_sap_total, field.d_san_total,
-            f"{cfg['loss']} field (p={cfg['p']:g}, gamma={cfg['gamma']:g}, "
-            f"beta_scale={cfg['beta_scale']:g})",
-        ),
-    )
+    arts.path("field_svg", ".field.svg").write_text(field_quiver(
+        field.s_ap, field.s_an, field.d_sap_total, field.d_san_total,
+        f"{cfg['loss']} field (p={cfg['p']:g}, gamma={cfg['gamma']:g}, "
+        f"beta_scale={cfg['beta_scale']:g})",
+    ))
     return (f"wrote {len(field)} cells under "
-            f"{arts.ctx.out_base / arts.prefix}.* and")
+            f"{arts.out_base / arts.prefix}.* and")
 
 
 def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
@@ -191,17 +176,14 @@ def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
     if not np.isfinite([upd.d_sap_total, upd.d_san_total]).all():
         raise DegenerateVectorError("the step from the trajectory's last "
                                     "point is not finite")
-    arts.csv("trajectory_csv", ".trajectory.csv",
-             ["s_ap", "s_an", "d_sap", "d_san"],
-             [*points.T, upd.d_sap_total, upd.d_san_total])
-    arts.text(
-        "trajectory_svg", ".trajectory.svg",
-        trajectory_path(
-            points,
-            f"{cfg['loss']} trajectory from "
-            f"({cfg['start_sap']:g}, {cfg['start_san']:g})",
-        ),
-    )
+    write_table(arts.path("trajectory_csv", ".trajectory.csv"),
+                ["s_ap", "s_an", "d_sap", "d_san"],
+                [*points.T, upd.d_sap_total, upd.d_san_total])
+    arts.path("trajectory_svg", ".trajectory.svg").write_text(trajectory_path(
+        *points.T,
+        f"{cfg['loss']} trajectory from "
+        f"({cfg['start_sap']:g}, {cfg['start_san']:g})",
+    ))
     return f"rolled {cfg['steps']} steps; wrote"
 
 
@@ -220,31 +202,30 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
         snapshot_every=cfg["snapshot_every"],
         batches_per_epoch=cfg["batches_per_epoch"],
     )
-    params, logs = train(load(arts.ctx.in_base / cfg["data"]), config)
+    params, logs = train(load(arts.in_base / cfg["data"]), config)
     columns = ["epoch", "mean_loss", "hard_fraction", "recall_at_1",
                "collapse"]
     records = [{c: getattr(log, c) for c in columns} for log in logs]
-    arts.text("epochs_json", ".epochs.json", _json_text(records))
-    arts.csv("epochs_csv", ".epochs.csv", columns,
-             [np.array([r[c] for r in records]) for c in columns])
-    arts.csv("weights_csv", ".weights.csv",
-             [f"w{j}" for j in range(params.embed_dim)], params.weight.T)
-    arts.text(
-        "curves_svg", ".curves.svg",
-        line_chart(
-            [
-                ("recall@1", [log.recall_at_1 for log in logs]),
-                ("hard_fraction", [log.hard_fraction for log in logs]),
-            ],
-            f"{cfg['loss']}+{cfg['miner']} (lr={cfg['lr']:g}, "
-            f"seed={cfg['seed']})",
-        ),
-    )
+    arts.path("epochs_json", ".epochs.json").write_text(
+        json.dumps(_round12(records), indent=2) + "\n")
+    write_table(arts.path("epochs_csv", ".epochs.csv"), columns,
+                [np.array([r[c] for r in records]) for c in columns])
+    write_table(arts.path("weights_csv", ".weights.csv"),
+                [f"w{j}" for j in range(params.embed_dim)], params.weight.T)
+    arts.path("curves_svg", ".curves.svg").write_text(line_chart(
+        [
+            ("recall@1", [log.recall_at_1 for log in logs]),
+            ("hard_fraction", [log.hard_fraction for log in logs]),
+        ],
+        f"{cfg['loss']}+{cfg['miner']} (lr={cfg['lr']:g}, "
+        f"seed={cfg['seed']})",
+    ))
     for log in logs:
         if log.snapshot is not None:
-            arts.csv(f"snap_{log.epoch:04d}", f".snap{log.epoch:04d}.csv",
-                     ["anchor", "positive", "negative", "s_ap", "s_an"],
-                     _triplet_columns(log.snapshot))
+            write_table(arts.path(f"snap_{log.epoch:04d}",
+                                  f".snap{log.epoch:04d}.csv"),
+                        ["anchor", "positive", "negative", "s_ap", "s_an"],
+                        _triplet_columns(log.snapshot))
     final = logs[-1]
     return (
         f"trained {cfg['epochs']} epochs: recall@1={final.recall_at_1:.4f} "
@@ -254,9 +235,9 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
 
 
 def run_diagram(cfg: dict, arts: _Artifacts) -> str:
-    dataset = load(arts.ctx.in_base / cfg["data"])
+    dataset = load(arts.in_base / cfg["data"])
     if cfg["weights"] is not None:
-        params = ModelParams(read_table(arts.ctx.in_base / cfg["weights"])[2])
+        params = ModelParams(read_table(arts.in_base / cfg["weights"])[2])
         if params.input_dim != dataset.dim:
             raise DatasetParseError(
                 f"weights expect input_dim {params.input_dim}, "
@@ -267,28 +248,26 @@ def run_diagram(cfg: dict, arts: _Artifacts) -> str:
         feats, _ = unit_rows(dataset.points)
     triplets = diagram_extract(Batch(embeddings=feats, labels=dataset.labels))
     hard = is_hard(triplets)
-    arts.csv("diagram_csv", ".diagram.csv",
-             ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
-             _triplet_columns(triplets) + [hard])
-    arts.text(
-        "diagram_svg", ".diagram.svg",
-        diagram_scatter(
-            np.column_stack([triplets.s_ap, triplets.s_an, hard]),
-            "easiest-positive / hardest-negative diagram",
-        ),
-    )
+    write_table(arts.path("diagram_csv", ".diagram.csv"),
+                ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
+                _triplet_columns(triplets) + [hard])
+    arts.path("diagram_svg", ".diagram.svg").write_text(diagram_scatter(
+        triplets.s_ap, triplets.s_an, hard,
+        "easiest-positive / hardest-negative diagram",
+    ))
     return (f"extracted {len(triplets)} diagram points "
             f"({np.count_nonzero(hard)} hard); wrote")
 
 
-def _execute(commands: dict, command: str, cfg: dict, ctx: PathContext):
-    """Run one command, then write its manifest and summary line."""
+def _execute(commands: dict, command: str, cfg: dict, out_base: Path,
+             in_base: Path) -> dict:
+    """Run one command, then write its manifest and summary line; return
+    the checksum of each artifact it wrote, by name."""
     run = commands[command].get_default("run")
-    if "out_prefix" in cfg:
-        arts = _Artifacts(ctx, cfg["out_prefix"])
-    else:
-        arts = _Artifacts(ctx, cfg["out"].removesuffix(".csv"))
-    arts.manifest(command, cfg, run(cfg, arts))
+    prefix = (cfg["out_prefix"] if "out_prefix" in cfg
+              else cfg["out"].removesuffix(".csv"))
+    arts = _Artifacts(out_base, in_base, prefix)
+    return arts.manifest(command, cfg, run(cfg, arts))
 
 
 def _flag_accepts(action: argparse.Action, value) -> bool:
@@ -300,8 +279,9 @@ def _flag_accepts(action: argparse.Action, value) -> bool:
             and (action.choices is None or value in action.choices))
 
 
-def run_rerun(manifest_name: str, ctx: PathContext, commands: dict) -> int:
-    manifest_path = ctx.in_base / manifest_name
+def run_rerun(manifest_path: Path, commands: dict) -> int:
+    """Re-execute a manifest's run next to it and compare, name by name,
+    what the run wrote with what the manifest recorded."""
     try:
         manifest = json.loads(manifest_path.read_text())
         command = manifest["command"]
@@ -317,20 +297,21 @@ def run_rerun(manifest_name: str, ctx: PathContext, commands: dict) -> int:
             if not _flag_accepts(flags[key], value):
                 raise ValueError(f"config {key}={value!r} is not a valid "
                                  f"{flags[key].option_strings[0]} value")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetParseError(
-            f"{manifest_path}: malformed manifest ({exc})"
-        ) from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(exc) from exc
     base = manifest_path.parent
     # outputs land next to the manifest; inputs resolve relative to it too
-    _execute(commands, command, cfg, PathContext(base, base))
-    mismatched = 0
-    for out_name, digest in sorted(recorded.items()):
-        ok = _sha256(base / Path(out_name).name) == digest
-        mismatched += not ok
-        print(f"  {out_name}: {'ok' if ok else 'MISMATCH'}")
-    if mismatched:
-        print(f"rerun: {mismatched} artifact(s) diverged")
+    written = _execute(commands, command, cfg, base, base)
+    diverged = 0
+    for name in sorted(written.keys() | recorded.keys()):
+        status = ("UNRECORDED" if name not in recorded
+                  else "MISSING" if name not in written
+                  else "ok" if written[name] == recorded[name]
+                  else "MISMATCH")
+        diverged += status != "ok"
+        print(f"  {name}: {status}")
+    if diverged:
+        print(f"rerun: {diverged} artifact(s) diverged")
         return EXIT_DATA
     print("rerun: all checksums match")
     return EXIT_OK
@@ -453,13 +434,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    ctx = PathContext(Path(os.environ.get(OUT_DIR_ENV, ".")), Path("."))
     try:
         if args.command == "rerun":
-            return run_rerun(args.manifest, ctx, parser.commands)
+            return run_rerun(Path(args.manifest), parser.commands)
         keys = parser.commands[args.command].flags
         cfg = {key: getattr(args, key) for key in keys}
-        _execute(parser.commands, args.command, cfg, ctx)
+        _execute(parser.commands, args.command, cfg,
+                 Path(os.environ.get(OUT_DIR_ENV, ".")), Path("."))
         return EXIT_OK
     except (DatasetParseError, OSError) as exc:
         kind, code, error = "data", EXIT_DATA, exc

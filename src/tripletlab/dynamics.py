@@ -29,17 +29,16 @@ through shared network weights:
     d_sap_total = d_sap + p * q * d_san,   q = s_ap * s_an
     d_san_total = d_san + p * q * d_sap.
 
-The steps are elementwise: one code path serves a diagram point of floats
-and arrays of points, with the same bits. Each formula takes its sqrt,
-max-with-0, select and exp from ``geometry.elementwise``: a point of
-Python floats steps in Python floats (a trajectory builds no numpy
-scalar but one exp per step), arrays and mixed points step in numpy.
-math.sqrt rounds as np.sqrt does; exp stays numpy's, because glibc's
-math.exp differed from it in the last bit on 9,412 of 200,000 arguments
-in [-2, 0]. A zero denominator in floats is redone in numpy scalars, so
-it gives numpy's inf or nan, not ZeroDivisionError. Everything in this
-module is validated against an explicit 3D vector oracle in the tests;
-the closed forms are exact, not approximations.
+The steps are elementwise: one code path serves a diagram point of
+floats and arrays of points, with the same bits. Each formula takes its
+sqrt, max-with-0, select and exp from ``geometry.elementwise``: a point
+of Python floats steps in Python floats (a trajectory builds no numpy
+scalar but one exp per step), arrays and mixed points step in numpy;
+``geometry._FLOAT_OPS`` says why exp stays numpy's. A zero denominator
+in floats is redone in numpy scalars, so it gives numpy's inf or nan,
+not ZeroDivisionError. Everything in this module is validated against an
+explicit 3D vector oracle in the tests; the closed forms are exact, not
+approximations.
 """
 
 from __future__ import annotations

@@ -134,9 +134,12 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
 
     A draw whose range holds one value, such as the only positive of a
     two-per-class batch, would return 0: when no draw has a wider range,
-    no generator is built and every pick is the same as drawn.
+    no generator is built and every pick is the same as drawn. The seed
+    is checked either way: a negative or non-integer one is refused.
     """
     strategy = MiningStrategy(strategy)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("expected non-negative integer")
     labels = batch.labels
     ordered = np.sort(labels)
     # each item's class size: the span of its label in the sorted labels

@@ -73,6 +73,12 @@ def _sq_y(v: float) -> float:
     return HEIGHT - MARGIN - (v + 1.0) / 2.0 * (HEIGHT - 2 * MARGIN)
 
 
+def _pixels(s_ap, s_an) -> np.ndarray:
+    """Diagram points as rows of (x, y) pixels."""
+    return np.column_stack([_sq_x(np.asarray(s_ap, dtype=np.float64)),
+                            _sq_y(np.asarray(s_an, dtype=np.float64))])
+
+
 def _rows(templates: Sequence[str], values, which=None,
           sep: str = "\n") -> list[str]:
     """Row i is ``templates[which[i]] % tuple(values[i])``; rows are joined
@@ -188,14 +194,11 @@ def _square_axes(x_label: str, y_label: str) -> list[str]:
     return _rows(["\n".join(parts)], [values])
 
 
-def diagram_scatter(
-    points: Sequence[tuple[float, float, bool]], title: str
-) -> str:
-    """Scatter of (s_ap, s_an, hard) diagram points; hard drawn in red."""
-    s_ap, s_an, hard = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+def diagram_scatter(s_ap: Sequence[float], s_an: Sequence[float],
+                    hard: Sequence[bool], title: str) -> str:
+    """Scatter of diagram points (s_ap, s_an); hard ones drawn in red."""
     body = _square_axes("s_ap", "s_an")
-    body += _rows(_POINTS, np.column_stack([_sq_x(s_ap), _sq_y(s_an)]),
-                  hard != 0)
+    body += _rows(_POINTS, _pixels(s_ap, s_an), hard)
     return _document(body, title)
 
 
@@ -224,8 +227,7 @@ def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[str]:
     cell_px = (WIDTH - 2 * MARGIN) / max(mags.size ** 0.5 - 1, 1)
     scale = 0.0 if max_mag == 0 else 0.9 * cell_px / max_mag
     cells = np.zeros((mags.size, 10))
-    cells[:, 0] = _sq_x(np.asarray(s_ap, dtype=np.float64))
-    cells[:, 1] = _sq_y(np.asarray(s_an, dtype=np.float64))
+    cells[:, :2] = _pixels(s_ap, s_an)
     arrow = mags * scale >= 0.15
     (dx, dy), mags, (x0, y0) = d[:, arrow], mags[arrow], cells[arrow, :2].T
     qx, qy = x0 + dx * scale, y0 - dy * scale
@@ -237,12 +239,10 @@ def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[str]:
     return _rows((_DOT, _ARROW), cells, arrow)
 
 
-def trajectory_path(
-    points: Sequence[tuple[float, float]], title: str
-) -> str:
+def trajectory_path(s_ap: Sequence[float], s_an: Sequence[float],
+                    title: str) -> str:
     """Polyline through diagram points; start marked green, end red."""
-    s_ap, s_an = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
-    xy = np.column_stack([_sq_x(s_ap), _sq_y(s_an)])
+    xy = _pixels(s_ap, s_an)
     coords = " ".join(_rows(["%.2f,%.2f"], xy, sep=" "))
     body = _square_axes("s_ap", "s_an")
     body.append(

@@ -209,6 +209,16 @@ class TestDiagram:
         assert rc == 0
         assert (outdir / "dw.diagram.svg").exists()
 
+    def test_single_class_dataset_draws_no_points(self, outdir):
+        rows = ["label,x0,x1", "0,0.6,0.8", "0,0.8,0.6", "0,0,1"]
+        (outdir / "one.csv").write_text("\n".join(rows) + "\n")
+        assert main(["diagram", "--data", str(outdir / "one.csv"),
+                     "--out-prefix", "one"]) == 0
+        assert (outdir / "one.diagram.csv").read_text() == (
+            "anchor,positive,negative,s_ap,s_an,hard\n")
+        svg = (outdir / "one.diagram.svg").read_text()
+        assert "<svg" in svg and 'r="3"' not in svg
+
     def test_missing_weights_is_data_error(self, outdir):
         main(gen_args())
         assert main(["diagram", "--data", str(outdir / "data.csv"),
@@ -231,6 +241,35 @@ class TestRerun:
         manifest["checksums"]["data.csv"] = "0" * 64
         manifest_path.write_text(json.dumps(manifest))
         assert main(["rerun", str(manifest_path)]) == 2
+
+    def test_emptied_checksums_diverge(self, outdir, capsys):
+        main(gen_args())
+        path = outdir / "data.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["checksums"] = {}
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "  data.csv: UNRECORDED\n" in out
+        assert "rerun: 1 artifact(s) diverged" in out
+
+    def test_checksum_of_unwritten_name_is_missing(self, outdir, capsys):
+        """A recorded name the run does not write is reported, never
+        opened: the rerun still exits 2 with a report, not a data error."""
+        main(gen_args())
+        path = outdir / "data.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["checksums"]["../x.csv"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "  ../x.csv: MISSING", "  data.csv: ok",
+            "rerun: 1 artifact(s) diverged",
+        ]
 
     def test_missing_manifest_is_data_error(self, outdir):
         assert main(["rerun", str(outdir / "nope.json")]) == 2
@@ -299,6 +338,27 @@ def test_manifest_byte_identical_after_rerun(outdir):
     before = manifest.read_bytes()
     assert main(["rerun", str(manifest)]) == 0
     assert manifest.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv, key", [
+    pytest.param(gen_args(spread="0.123456789012345"), "spread",
+                 id="gen-data spread"),
+    pytest.param(["train", "--data", "{d}/data.csv", "--lr",
+                  "0.12345678901234567", "--epochs", "2",
+                  "--classes-per-batch", "2", "--embed-dim", "4",
+                  "--out-prefix", "r"], "lr", id="train lr"),
+])
+def test_long_float_flag_recorded_exactly(outdir, capsys, argv, key):
+    """A flag with more than 12 significant digits is stored as given, so
+    its run reruns with every checksum ok."""
+    assert main(gen_args()) == 0
+    assert main([arg.format(d=outdir) for arg in argv]) == 0
+    value = float(argv[argv.index(f"--{key}") + 1])
+    manifest = outdir / f"{Path(argv[-1]).stem}.manifest.json"
+    assert json.loads(manifest.read_text())["config"][key] == value
+    capsys.readouterr()
+    assert main(["rerun", str(manifest)]) == 0
+    assert "rerun: all checksums match" in capsys.readouterr().out
 
 
 def _train(data, *flags):

@@ -177,7 +177,7 @@ EXPECTED = {
     "run rerun no config":
         "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "run rerun tampered":
-        "2 81db0420ee1e3804d06d2c06350af0b9ec4aed44c411228446972fed64c116e5",
+        "2 104079da63d0652bc31b16736666a86ab99fa7e3e09f2ff2dddcd8bb7ebf41e0",
     "file data.csv":
         "febc20b6e3b982c8448559f3812b55eca3fa25aa9a4f0fd80a0cb2399e1a13e1",
     "file data.manifest.json":

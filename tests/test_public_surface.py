@@ -8,10 +8,11 @@ import inspect
 import pkgutil
 import types
 
+import numpy as np
 import pytest
 
 import tripletlab
-from tripletlab import svg
+from tripletlab import svg, trainer
 from tripletlab.mining import Triplets
 from tripletlab.synthdata import LabeledDataset
 
@@ -62,6 +63,8 @@ FIELDS = {
 PARAMETERS = {
     tripletlab.vector_field: ["resolution", "params"],
     svg.line_chart: ["series", "title"],
+    svg.diagram_scatter: ["s_ap", "s_an", "hard", "title"],
+    svg.trajectory_path: ["s_ap", "s_an", "title"],
     tripletlab.embed: ["params", "xs"],
     tripletlab.backward: ["inputs", "feats", "norms", "triplets", "loss",
                           "grad_mode"],
@@ -107,3 +110,38 @@ def test_settings_exactly(cls):
 @pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__name__)
 def test_parameters_exactly(fn):
     assert list(inspect.signature(fn).parameters) == PARAMETERS[fn]
+
+
+# What the benchmark harness reads: recall by position, mined rows by
+# field, and the trainer's own mine and recall_at_k, which it patches to
+# sample mining calls and time epochs.
+
+
+def test_retrieval_result_fields():
+    assert tripletlab.RetrievalResult._fields == ("k", "recall",
+                                                  "num_queries")
+
+
+def test_mined_rows_expose_indices_and_coordinates():
+    batch = tripletlab.Batch(np.eye(6), [0, 0, 1, 1, 2, 2])
+    triplets = tripletlab.mine(batch, tripletlab.MiningStrategy.RANDOM, 3)
+    rows = [(t.anchor, t.positive, t.negative, t.coord.s_ap, t.coord.s_an)
+            for t in triplets]
+    columns = (triplets.anchor, triplets.positive, triplets.negative,
+               triplets.s_ap, triplets.s_an)
+    assert len(rows) == 6
+    assert rows == list(zip(*(c.tolist() for c in columns)))
+
+
+def test_train_calls_mine_per_batch_and_recall_per_epoch(monkeypatch):
+    calls = {"mine": 0, "recall_at_k": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(trainer, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, counted)
+    dataset = tripletlab.generate(tripletlab.DatasetConfig(3, 4, 5, 0.5, 0))
+    tripletlab.train(dataset, tripletlab.TrainConfig(
+        epochs=2, classes_per_batch=2, embed_dim=3, batches_per_epoch=3))
+    assert calls == {"mine": 6, "recall_at_k": 2}

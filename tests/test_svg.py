@@ -26,10 +26,8 @@ def assert_wellformed_and_selfcontained(doc: str):
 
 
 def test_scatter_wellformed():
-    doc = diagram_scatter(
-        [(0.1, 0.9, True), (0.9, 0.1, False), (-0.5, 0.5, True)],
-        "diagram",
-    )
+    doc = diagram_scatter([0.1, 0.9, -0.5], [0.9, 0.1, 0.5],
+                          [True, False, True], "diagram")
     assert_wellformed_and_selfcontained(doc)
     assert doc.count("<circle") >= 3
 
@@ -51,7 +49,7 @@ def test_quiver_handles_zero_field():
 
 
 def test_trajectory_path_wellformed():
-    doc = trajectory_path([(0.0, 0.0), (0.2, 0.1), (0.4, 0.15)], "rollout")
+    doc = trajectory_path([0.0, 0.2, 0.4], [0.0, 0.1, 0.15], "rollout")
     assert_wellformed_and_selfcontained(doc)
     assert "<polyline" in doc
 
@@ -66,8 +64,16 @@ def test_line_chart_wellformed():
 
 
 def test_deterministic_output():
-    points = [(0.3, 0.2, False), (0.7, 0.9, True)]
-    assert diagram_scatter(points, "t") == diagram_scatter(points, "t")
+    columns = ([0.3, 0.7], [0.2, 0.9], [False, True])
+    assert diagram_scatter(*columns, "t") == diagram_scatter(*columns, "t")
+
+
+def test_scatter_of_empty_columns():
+    """No diagram point: the axes alone, as the old emitter drew them."""
+    doc = diagram_scatter([], [], [], "empty")
+    assert doc == _old_diagram_scatter(np.empty((0, 3)), "empty")
+    assert_wellformed_and_selfcontained(doc)
+    assert 'r="3"' not in doc
 
 
 # values "%.2f" prints through its fallback: signed zeros, subnormals,
@@ -283,9 +289,9 @@ def test_charts_equal_the_percent_emitters(resolution, kind, block_rows,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(svg, "_BLOCK_ROWS", block_rows)
         assert field_quiver(*cols, "f") == _old_field_quiver(*cols, "f")
-        assert trajectory_path(points, "t") == _old_trajectory_path(points,
-                                                                    "t")
+        assert trajectory_path(*points.T, "t") == _old_trajectory_path(
+            points, "t")
         scatter = np.column_stack([points, hard])
-        assert diagram_scatter(scatter, "s") == _old_diagram_scatter(scatter,
-                                                                     "s")
+        assert diagram_scatter(*points.T, hard, "s") == _old_diagram_scatter(
+            scatter, "s")
         assert line_chart(series, "c") == _old_line_chart(series, "c")
