@@ -8,14 +8,16 @@ records its flag values exactly and the sha256 of each artifact, and is
 byte-deterministic given its flags. ``tripletlab rerun <manifest>``
 re-executes a recorded run next to the manifest and reports every
 artifact: ok, MISMATCH, MISSING (recorded, not written) or UNRECORDED
-(written, not recorded); any but ok exits 2.
+(written, not recorded); any but ok exits 2 and keeps the manifest.
 
-Exit codes: 0 success; 1 any invalid flag value, seed and class count too;
+Exit codes: 0 success; 1 any invalid flag value, seed and class count too,
+and an output prefix (``--out`` less ``.csv``) ending in "", . or ..;
 2 an unreadable, malformed or non-finite input file or manifest, a
-dataset of fewer than two rows, or a train dataset with a one-member
-class; 3 a zero or overflowing row, divergence, an overflowing SGD update
-or epoch mean loss, a non-finite field or trajectory step, or generated
-data that overflows. A refusal writes no manifest.
+dataset of fewer than two rows, a train dataset with a one-member class,
+or an unwritable output location; 3 a zero or overflowing row,
+divergence, an overflowing SGD update or epoch mean loss, a non-finite
+field or trajectory step, or overflowing generated data. A refusal
+writes no manifest.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .losses import LossKind, LossSpec, is_hard
 from .mining import Batch, MiningStrategy
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
 from .synthdata import (
+    FLOAT_FMT,
     DatasetConfig,
     DatasetParseError,
     generate,
@@ -52,18 +55,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 OUT_DIR_ENV = "TRIPLETLAB_OUT"
-
-
-def _round12(obj):
-    """Round floats to 12 significant digits, recursively: the epoch
-    records' precision (flags are recorded exactly)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
 
 
 def _sha256(path: Path) -> str:
@@ -84,22 +75,24 @@ class _Artifacts:
     """The files of one run, named from its output prefix.
 
     Relative outputs resolve against out_base and inputs against in_base
-    (absolute ones stay). Each artifact is ``<prefix><suffix>`` and is
-    listed in the manifest under its key, in the order it was added.
+    (absolute ones stay). The prefix splits once into ``dir`` and ``name``:
+    each artifact is ``dir/<name><suffix>``, listed in the manifest under
+    its key in the order added. A prefix ending in "", . or .. is refused.
     """
 
     def __init__(self, out_base: Path, in_base: Path, prefix: str):
-        self.out_base = out_base
+        if os.path.basename(prefix) in ("", ".", ".."):
+            raise ValueError(f"output prefix {prefix!r} ends in no file name")
+        self.dir = out_base / Path(prefix).parent
+        self.name = Path(prefix).name
         self.in_base = in_base
-        self.prefix = prefix
         self.outputs: dict[str, str] = {}
 
     def path(self, key: str, suffix: str) -> Path:
         """List an artifact and return where to write it."""
-        self.outputs[key] = Path(self.prefix).name + suffix
-        path = self.out_base / (self.prefix + suffix)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+        self.outputs[key] = self.name + suffix
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / (self.name + suffix)
 
     def manifest(self, command: str, cfg: dict, summary: str) -> dict:
         """Record the command, its flag values exactly as given, and each
@@ -111,10 +104,9 @@ class _Artifacts:
         plus its sibling files is a relocatable, re-runnable unit and a
         rerun rewrites the manifest byte-identically.
         """
-        path = self.out_base / f"{self.prefix}.manifest.json"
-        checksums = {
-            name: _sha256(path.parent / name) for name in self.outputs.values()
-        }
+        path = self.dir / f"{self.name}.manifest.json"
+        checksums = {name: _sha256(self.dir / name)
+                     for name in self.outputs.values()}
         path.write_text(json.dumps({
             "command": command,
             "config": _basenames(cfg),
@@ -136,7 +128,7 @@ def run_gen_data(cfg: dict, arts: _Artifacts) -> str:
         cfg["classes"], cfg["per_class"], cfg["dim"], cfg["spread"],
         seed=cfg["seed"],
     ))
-    path = arts.path("dataset", cfg["out"][len(arts.prefix):])
+    path = arts.path("dataset", Path(cfg["out"]).name[len(arts.name):])
     save(ds, path)
     return f"wrote {path} ({len(ds)} rows) and"
 
@@ -163,8 +155,7 @@ def run_simulate(cfg: dict, arts: _Artifacts) -> str:
         f"{cfg['loss']} field (p={cfg['p']:g}, gamma={cfg['gamma']:g}, "
         f"beta_scale={cfg['beta_scale']:g})",
     ))
-    return (f"wrote {len(field)} cells under "
-            f"{arts.out_base / arts.prefix}.* and")
+    return f"wrote {len(field)} cells under {arts.dir / arts.name}.* and"
 
 
 def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
@@ -205,9 +196,10 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
     params, logs = train(load(arts.in_base / cfg["data"]), config)
     columns = ["epoch", "mean_loss", "hard_fraction", "recall_at_1",
                "collapse"]
-    records = [{c: getattr(log, c) for c in columns} for log in logs]
+    records = [{"epoch": log.epoch} | {c: float(FLOAT_FMT % getattr(log, c))
+                                       for c in columns[1:]} for log in logs]
     arts.path("epochs_json", ".epochs.json").write_text(
-        json.dumps(_round12(records), indent=2) + "\n")
+        json.dumps(records, indent=2) + "\n")
     write_table(arts.path("epochs_csv", ".epochs.csv"), columns,
                 [np.array([r[c] for r in records]) for c in columns])
     write_table(arts.path("weights_csv", ".weights.csv"),
@@ -280,10 +272,11 @@ def _flag_accepts(action: argparse.Action, value) -> bool:
 
 
 def run_rerun(manifest_path: Path, commands: dict) -> int:
-    """Re-execute a manifest's run next to it and compare, name by name,
-    what the run wrote with what the manifest recorded."""
+    """Re-execute a manifest's run next to it, compare what it wrote with
+    what the manifest recorded name by name, and keep a diverged manifest."""
     try:
-        manifest = json.loads(manifest_path.read_text())
+        raw = manifest_path.read_bytes()
+        manifest = json.loads(raw.decode())
         command = manifest["command"]
         cfg = _basenames(dict(manifest["config"]))
         recorded = dict(manifest["checksums"])
@@ -311,6 +304,7 @@ def run_rerun(manifest_path: Path, commands: dict) -> int:
         diverged += status != "ok"
         print(f"  {name}: {status}")
     if diverged:
+        manifest_path.write_bytes(raw)
         print(f"rerun: {diverged} artifact(s) diverged")
         return EXIT_DATA
     print("rerun: all checksums match")

@@ -7,9 +7,9 @@ hits iff fewer than K items rank ahead of its best same-label item (the
 masked argmax, lowest index on ties), "ahead" meaning a larger
 similarity, or an equal one at a lower index.
 
-Similarities are computed in blocks of 256 query rows and never as an
-n x n matrix. Up to 256 points are one block, the same single product as
-a whole-matrix one; more points may differ from it in the last bits.
+Recall and the miner walk similarities in blocks of 256 query rows,
+never an n x n matrix (up to 256 points are one block, the bits of one
+whole-matrix product). Collapse reads the embedding sum: no similarity.
 """
 
 from __future__ import annotations
@@ -61,13 +61,14 @@ def recall_at_k(
 
 
 def collapse_metric(batch: Batch) -> float:
-    """Mean off-diagonal pairwise cosine; 1.0 means fully collapsed."""
+    """Mean off-diagonal pairwise cosine; 1.0 means fully collapsed. The
+    off-diagonal sum is |sum of rows|^2 - sum of |row|^2; the mean is
+    clipped to [-1, 1], which rounding can pass by an ulp."""
+    emb = batch.embeddings
     n = len(batch)
-    total = 0.0
-    for lo, block in _row_blocks(batch.embeddings, batch.embeddings):
-        np.clip(block, -1.0, 1.0, out=block)
-        total += block.sum() - np.trace(block, offset=lo)
-    return float(total / (n * (n - 1)))
+    total = emb.sum(axis=0)
+    mean = (total @ total - np.sum(emb * emb)) / (n * (n - 1))
+    return float(np.clip(mean, -1.0, 1.0))
 
 
 def diagram_extract(batch: Batch) -> Triplets:

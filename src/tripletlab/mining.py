@@ -74,7 +74,7 @@ class Triplets:
     """Mined triplets as a struct of arrays, one entry per triplet.
 
     Iterating yields MinedTriplet rows of Python ints and floats; two
-    Triplets are equal when their rows are.
+    Triplets are equal when every column is (``np.array_equal``).
     """
 
     anchor: np.ndarray  # (k,) int64 rows
@@ -100,7 +100,8 @@ class Triplets:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Triplets):
             return NotImplemented
-        return list(self) == list(other)
+        return all(map(np.array_equal, vars(self).values(),
+                       vars(other).values()))
 
 
 def _row_blocks(queries: np.ndarray,

@@ -271,6 +271,21 @@ class TestRerun:
             "rerun: 1 artifact(s) diverged",
         ]
 
+    def test_diverged_rerun_keeps_the_manifest(self, outdir, capsys):
+        """A rerun that diverges puts back the manifest it checked, so a
+        second rerun reports the same mismatch."""
+        main(["simulate", "--resolution", "3", "--out-prefix", "fn"])
+        path = outdir / "fn.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["checksums"]["fn.field.csv"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        tampered = path.read_bytes()
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["rerun", str(path)]) == 2
+            assert "  fn.field.csv: MISMATCH\n" in capsys.readouterr().out
+            assert path.read_bytes() == tampered
+
     def test_missing_manifest_is_data_error(self, outdir):
         assert main(["rerun", str(outdir / "nope.json")]) == 2
 
@@ -465,6 +480,13 @@ def _train(data, *flags):
                  id="header-only dataset train"),
     pytest.param(["rerun", "{d}/command.manifest.json"], 2,
                  id="manifest unknown command"),
+    pytest.param(["simulate", "--resolution", "3", "--out-prefix", "sub/"], 1,
+                 id="prefix ends in a slash"),
+    pytest.param(["simulate", "--resolution", "3", "--out-prefix", "."], 1,
+                 id="prefix dot"),
+    pytest.param(["simulate", "--resolution", "3", "--out-prefix", ""], 1,
+                 id="prefix empty"),
+    pytest.param(gen_args(out="g/"), 1, id="gen-data out ends in a slash"),
 ])
 def test_refused_input_exits_with_one_message(outdir, capsys, argv, code):
     """Inputs that once escaped as tracebacks or exited 0 with NaN
@@ -533,23 +555,29 @@ def sizes(*refused):
     return (small | st.sampled_from(refused) if refused else small).map(str)
 
 
+# output names that end in a file name, and ones that do not; none is
+# nested, since every written path is read as a file
+PREFIXES = st.sampled_from(["f", "", ".", "..", "f/"])
+
 # per command: the flags of a tiny valid run, and what each flag may draw
 ADVERSARIAL_COMMANDS = {
     "gen-data": (
         dict(classes=3, per_class=3, dim=3, spread=0.5, out="g.csv"),
         dict(classes=sizes(2**40), per_class=sizes(2**40),
-             dim=sizes(2**40), spread=REALS, seed=sizes()),
+             dim=sizes(2**40), spread=REALS, seed=sizes(),
+             out=st.sampled_from(["g.csv", "g", "g/", ".csv"])),
     ),
     "simulate": (
         dict(resolution=5, out_prefix="f"),
         dict(loss=LOSSES, p=REALS, gamma=REALS, beta_scale=REALS,
-             margin=REALS, resolution=sizes(1002, 10**9)),
+             margin=REALS, resolution=sizes(1002, 10**9),
+             out_prefix=PREFIXES),
     ),
     "trajectory": (
         dict(start_sap=0.3, start_san=0.5, steps=3, out_prefix="t"),
         dict(loss=LOSSES, start_sap=REALS, start_san=REALS, p=REALS,
              gamma=REALS, beta_scale=REALS, margin=REALS,
-             steps=sizes(1_000_001, 10**12)),
+             steps=sizes(1_000_001, 10**12), out_prefix=PREFIXES),
     ),
     "train": (
         dict(data="{data}", epochs=1, classes_per_batch=2, embed_dim=2,
@@ -561,7 +589,7 @@ ADVERSARIAL_COMMANDS = {
              classes_per_batch=sizes(), embed_dim=sizes(1025, 10**9),
              seed=sizes(), snapshot_every=sizes(),
              batches_per_epoch=sizes(MAX_BATCHES_PER_EPOCH + 1, 10**12),
-             **{"lambda": REALS}),
+             out_prefix=PREFIXES, **{"lambda": REALS}),
     ),
 }
 

@@ -329,3 +329,24 @@ class TestHardFraction:
 
     def test_half_and_half(self):
         assert self._fraction((0.9, 0.1), (0.1, 0.9)) == 0.5
+
+
+def _triplets(anchor, s_ap):
+    anchor = np.array(anchor)
+    return Triplets(anchor, anchor + 1, anchor + 2, np.array(s_ap),
+                    np.zeros(len(s_ap)))
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    pytest.param(([0], [np.nan]), ([0], [np.nan]), False,
+                 id="nan coordinate"),
+    pytest.param(([0], [-0.0]), ([0], [0.0]), True, id="signed zero"),
+    pytest.param(([0, 1], [0.5, 1.0]), ([0.0, 1.0], [0.5, 1]), True,
+                 id="int and float by value"),
+    pytest.param(([0, 1], [0.5, 0.5]), ([0], [0.5]), False,
+                 id="different lengths"),
+])
+def test_triplets_equal_column_by_column(left, right, equal):
+    """Columns compare as arrays: by value, and NaN is never equal."""
+    a, b = _triplets(*left), _triplets(*right)
+    assert (a == b) is equal and (b == a) is equal
