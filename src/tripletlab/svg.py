@@ -3,12 +3,13 @@
 No plotting dependency; output is deterministic, self-contained XML with
 nothing external referenced, so files diff cleanly across runs.
 
-Every coordinate (and every other float the charts print) goes through one
-renderer, ``_rows``, which fills ``%.2f`` templates from whole float64
-columns with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from
-byte tables; a value whose |v| * 100 lies within 1e-6 of a half (exact
-ties such as 0.125 included) or whose |v| is not below 9999.995 (inf and
-nan included) is printed by ``"%.2f" %`` itself.
+Every coordinate (and every other float the charts print) is written by
+the package's one number renderer, ``_render._rows``, which also writes
+every CSV cell: it fills ``%.2f`` templates from whole float64 columns
+with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from byte
+tables; a value whose |v| * 100 lies within 1e-6 of a half (exact ties
+such as 0.125 included) or whose |v| is not below 9999.995 (inf and nan
+included) is printed by ``"%.2f" %`` itself.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from ._render import _rows
 
 WIDTH = 560
 HEIGHT = 560
@@ -34,35 +37,6 @@ _POINTS = tuple(f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" '
 _ENDS = ('<circle cx="%.2f" cy="%.2f" r="4" fill="#2ca02c"/>\n'
          f'<circle cx="%.2f" cy="%.2f" r="4" fill="{HARD_COLOR}"/>')
 
-# rows rendered at a time: each block holds a few dozen bytes per value in
-# temporaries, and 4,096-row blocks raised a simulate-and-rerun process's
-# peak RSS above the per-row formatter's
-_BLOCK_ROWS = 2048
-# byte dropped from every rendered block; no template contains it
-_PAD = 0
-
-
-def _word_tables() -> tuple[np.ndarray, np.ndarray]:
-    """"%.2f" of q / 100 for an integer q < 10**6 is the little-endian
-    8-byte word ints[q // 100] | cents[q % 100] | sign: the integer part
-    right-aligned in bytes 1-4, then ".cc" in bytes 5-7; byte 0 is left
-    for the sign. Built from uint8 digit runs: building them from 10,000
-    Python bytes objects left the process 1 MB larger."""
-    digits = np.arange(10, dtype=np.uint8) + ord("0")
-    ints = np.full((10_000, 8), _PAD, np.uint8)
-    for col, place in zip(range(1, 5), (1000, 100, 10, 1)):
-        ints[:, col] = np.tile(np.repeat(digits, place), 1000 // place)
-    for col, place in zip(range(1, 4), (1000, 100, 10)):
-        ints[:place, col] = _PAD  # leading zeros
-    cents = np.full((100, 8), _PAD, np.uint8)
-    cents[:, 5] = ord(".")
-    cents[:, 6], cents[:, 7] = np.repeat(digits, 10), np.tile(digits, 10)
-    return ints.view("<u8").ravel(), cents.view("<u8").ravel()
-
-
-_INTS, _CENTS = _word_tables()
-_MINUS = np.uint64(ord("-"))
-
 
 def _sq_x(v: float) -> float:
     """Diagram coordinate in [-1, 1] to pixel x."""
@@ -77,81 +51,6 @@ def _pixels(s_ap, s_an) -> np.ndarray:
     """Diagram points as rows of (x, y) pixels."""
     return np.column_stack([_sq_x(np.asarray(s_ap, dtype=np.float64)),
                             _sq_y(np.asarray(s_an, dtype=np.float64))])
-
-
-def _rows(templates: Sequence[str], values, which=None,
-          sep: str = "\n") -> list[str]:
-    """Row i is ``templates[which[i]] % tuple(values[i])``; rows are joined
-    by sep into blocks of ``_BLOCK_ROWS``, so sep.join of the blocks is the
-    whole text.
-
-    Every slot of a template is ``%.2f``; a template with j slots takes the
-    first j values of its row. which defaults to template 0 for every row.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    which = (np.zeros(len(values), np.intp) if which is None
-             else np.asarray(which, dtype=np.intp))
-    pieces = [[np.frombuffer(s.encode(), np.uint8)
-               for s in (template + sep).split("%.2f")]
-              for template in templates]
-    step = _BLOCK_ROWS
-    return [_block(pieces, values[lo:lo + step], which[lo:lo + step],
-                   len(sep))
-            for lo in range(0, len(values), step)]
-
-
-def _block(pieces, values: np.ndarray, which: np.ndarray, cut: int) -> str:
-    """One block's rows as text, its last row without its cut sep bytes."""
-    slots = _slots(values)
-    width = slots.shape[-1]
-    sizes = [sum(map(len, p)) + (len(p) - 1) * width for p in pieces]
-    out = np.full((len(values), max(sizes)), _PAD, np.uint8)
-    for t, literals in enumerate(pieces):
-        rows = which == t
-        out[rows, :sizes[t]] = _fill(literals, slots[rows], sizes[t])
-    text = out[out != _PAD]
-    return text[:text.size - cut].tobytes().decode()
-
-
-def _fill(literals, slots: np.ndarray, size: int) -> np.ndarray:
-    """Rows of literals with the slots between them, size bytes each."""
-    out = np.empty((len(slots), size), np.uint8)
-    width = slots.shape[-1]
-    at = 0
-    for j, literal in enumerate(literals):
-        if j:
-            out[:, at:at + width] = slots[:, j - 1]
-            at += width
-        out[:, at:at + len(literal)] = literal
-        at += len(literal)
-    return out
-
-
-def _slots(values: np.ndarray) -> np.ndarray:
-    """``"%.2f" % v`` of every value, right-aligned in _PAD-led slots of
-    one width (8 bytes, or the longest value printed by ``%``)."""
-    mag = np.abs(values)
-    fits = mag < 9999.995
-    cents = np.where(fits, mag, 0.0) * 100.0
-    q = np.rint(cents)
-    # |v| * 100 is within 2**-33 of its exact value here, so a distance
-    # from a half above 1e-6 rounds to the same integer as "%.2f" does
-    exact = fits & (np.abs(cents - q) < 0.5 - 1e-6)
-    whole, frac = np.divmod(q.astype(np.intp), 100)
-    words = _INTS[whole] | _CENTS[frac] | np.signbit(values) * _MINUS
-    slots = words.astype("<u8", copy=False).view(np.uint8)
-    slots = slots.reshape(values.shape + (8,))
-    odd = np.argwhere(~exact)
-    texts = [("%.2f" % values[tuple(i)]).encode() for i in odd]
-    width = max([8, *map(len, texts)])
-    if width > 8:
-        slots = np.concatenate(
-            [np.full(values.shape + (width - 8,), _PAD, np.uint8), slots],
-            axis=-1)
-    for i, text in zip(odd, texts):
-        slots[tuple(i)] = np.frombuffer(text.rjust(width, bytes([_PAD])),
-                                        np.uint8)
-    return slots
 
 
 def _document(body: list[str], title: str) -> str:

@@ -9,6 +9,11 @@ dominate. Generation is a pure function of the config.
 
 Datasets serialize to CSV (header ``label,x0,...,x{d-1}``, floats at 12
 significant digits) through ``write_table``, the package's one CSV writer.
+Its cells are written by the renderer that writes every SVG number,
+``_render``: ``%.12g`` cells from digit tables, with ``"%.12g" %`` for
+inf, nan, a decimal exponent beyond +-290 (subnormals included) and a
+value whose 12-digit scaling lies within 1e-3 of a half; ``%d`` cells
+(int, uint and bool columns) from digit tables alone.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._render import _blocks
 from .geometry import DegenerateVectorError, unit_rows
 
 FLOAT_FMT = "%.12g"
-# rows formatted at a time: lists of a whole table's values cost memory
-_BLOCK_ROWS = 1024
 # classes x per_class x input_dim, checked before anything is allocated
 MAX_CELLS = 2**24
 
@@ -107,17 +111,22 @@ def save(ds: LabeledDataset, path: str | Path) -> None:
 
 
 def write_table(path: str | Path, header: list[str], columns) -> None:
-    """Write a header line, then one float, int or bool array per column."""
+    """Write a header line, then one float, int or bool array per column;
+    the columns are checked before the file is opened."""
     columns = [np.asarray(c) for c in columns]
     fmts = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}
+    if not columns:
+        raise ValueError("a table needs at least one column")
     if bad := [c.dtype for c in columns if c.dtype.kind not in fmts]:
         raise TypeError(f"no CSV format for dtype {bad[0]}")
-    template = ",".join(fmts[c.dtype.kind] for c in columns) + "\n"
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("every column must be 1-D")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("every column must have the same length")
+    template = ",".join(fmts[c.dtype.kind] for c in columns)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = (c[lo:lo + _BLOCK_ROWS].tolist() for c in columns)
-            fh.writelines(map(template.__mod__, zip(*block)))
+        fh.writelines(_blocks([template], columns))
 
 
 def read_table(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletlab import svg
+from tripletlab import _render, svg
 from tripletlab.dynamics import StepParams, vector_field
 from tripletlab.svg import (
     diagram_scatter,
@@ -115,7 +115,7 @@ def test_renderer_matches_percent_format(rows, two, block_rows, seed):
     slots = [t.count("%.2f") for t in templates]
     for sep in ("\n", " "):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(svg, "_BLOCK_ROWS", block_rows)
+            patch.setattr(_render, "_BLOCK_ROWS", block_rows)
             blocks = svg._rows(templates, values, which, sep=sep)
         assert len(blocks) == -(-rows // block_rows)
         assert sep.join(blocks) == sep.join(
@@ -287,7 +287,7 @@ def test_charts_equal_the_percent_emitters(resolution, kind, block_rows,
     series = [("a", rng.uniform(-0.2, 1.2, resolution).tolist()),
               ("b", np.where(np.abs(b) < 1e6, b, -0.0).tolist())]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(svg, "_BLOCK_ROWS", block_rows)
+        patch.setattr(_render, "_BLOCK_ROWS", block_rows)
         assert field_quiver(*cols, "f") == _old_field_quiver(*cols, "f")
         assert trajectory_path(*points.T, "t") == _old_trajectory_path(
             points, "t")

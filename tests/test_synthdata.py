@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletlab import synthdata
+from tripletlab import _render
 from tripletlab.geometry import DegenerateVectorError
 from tripletlab.synthdata import (
     FLOAT_FMT,
@@ -250,7 +250,7 @@ def test_write_table_matches_the_per_row_formatter(tmp_path_factory, rows,
     header = [f"{kind}{j}" for j, kind in enumerate(kinds)]
     path = tmp_path_factory.mktemp("table") / "t.csv"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synthdata, "_BLOCK_ROWS", block_rows)
+        patch.setattr(_render, "_BLOCK_ROWS", block_rows)
         write_table(path, header, columns)
     assert path.read_text() == _old_csv(header, columns)
 
@@ -270,7 +270,7 @@ def test_write_table_reads_back_bit_for_bit(tmp_path_factory, rows, dim,
                       ).reshape(rows, dim)
     path = tmp_path_factory.mktemp("table") / "t.csv"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synthdata, "_BLOCK_ROWS", 7)
+        patch.setattr(_render, "_BLOCK_ROWS", 7)
         write_table(path, ["label"] + [f"x{j}" for j in range(dim)],
                     [labels, *values.T])
     _, back_labels, back = read_table(path, labeled=True)
@@ -285,3 +285,17 @@ def test_write_table_reads_back_bit_for_bit(tmp_path_factory, rows, dim,
 def test_write_table_refuses_other_dtypes(tmp_path, column):
     with pytest.raises(TypeError, match="no CSV format"):
         write_table(tmp_path / "t.csv", ["c"], [column])
+
+
+@pytest.mark.parametrize("columns", [
+    [],
+    [np.ones((2, 2))],
+    [np.array(1.0)],
+    [np.array([1.0, 2.0, 3.0]), np.array([4.0])],
+    [np.array([1, 2]), np.array([True, False, True])],
+], ids=["none", "2-D", "0-D", "shorter second", "longer second"])
+def test_write_table_refuses_bad_columns_before_opening(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="column"):
+        write_table(path, [f"c{j}" for j in range(len(columns))], columns)
+    assert not path.exists()
