@@ -152,12 +152,13 @@ def _rows(templates: Sequence[str], values, which=None,
     float64. which defaults to template 0 for every row.
     """
     values = np.asarray(values, dtype=np.float64)
-    return list(_blocks(templates, values.T, which, sep, len(sep)))
+    return [block.decode()
+            for block in _blocks(templates, values.T, which, sep, len(sep))]
 
 
 def _blocks(templates: Sequence[str], columns, which=None, sep: str = "\n",
-            cut: int = 0) -> Iterator[str]:
-    """Blocks of ``_BLOCK_ROWS`` rows as text, each row
+            cut: int = 0) -> Iterator[bytearray]:
+    """Blocks of ``_BLOCK_ROWS`` rows as ASCII bytes, each row
     ``(templates[which[i]] + sep) % tuple(c[i] for c in columns)`` and
     each block without its last cut bytes. Slot j of a template takes
     columns[j]."""
@@ -174,37 +175,35 @@ def _blocks(templates: Sequence[str], columns, which=None, sep: str = "\n",
                      which[lo:lo + step], cut)
 
 
-def _block(pieces, columns, which: np.ndarray, cut: int) -> str:
-    """One block's rows as text, its last row without its cut bytes."""
+def _block(pieces, columns, which: np.ndarray, cut: int) -> bytearray:
+    """One block's rows, its last row without its cut bytes."""
     filled = []
     for t, (literals, formats) in enumerate(pieces):
         rows = which == t if len(pieces) > 1 else slice(None)
-        slots = _slots(formats, [np.asarray(c)[rows]
-                                 for c in columns[:len(formats)]])
-        filled.append((rows, _fill(literals, slots, len(which[rows]))))
-    out = filled[0][1]
-    if len(filled) > 1:
-        out = np.full((len(which), max(f.shape[1] for _, f in filled)),
-                      _PAD, np.uint8)
-        for rows, f in filled:
-            out[rows, :f.shape[1]] = f
-    text = out.tobytes().translate(None, bytes([_PAD]))
-    return text[:len(text) - cut].decode()
+        filled.append((rows, literals, _slots(
+            formats, [np.asarray(c)[rows] for c in columns[:len(formats)]])))
+    width = max(sum(map(len, literals)) + sum(s.shape[1] for s in slots)
+                for _, literals, slots in filled)
+    text = bytearray(len(which) * width)  # all pads: _PAD is 0
+    out = np.frombuffer(text, np.uint8).reshape(len(which), width)
+    for rows, literals, slots in filled:
+        _fill(out, rows, literals, slots)
+    del filled, out  # the slots go before the padless copy is made
+    text = text.translate(None, bytes([_PAD]))
+    del text[len(text) - cut:]
+    return text
 
 
-def _fill(literals, slots: list[np.ndarray], count: int) -> np.ndarray:
-    """count rows of literals with the slots between them."""
-    size = sum(map(len, literals)) + sum(s.shape[1] for s in slots)
-    out = np.empty((count, size), np.uint8)
+def _fill(out: np.ndarray, rows, literals, slots: list[np.ndarray]) -> None:
+    """Lay the rows of literals, with the slots between them, into out."""
     at = 0
     for j, literal in enumerate(literals):
         if j:
             width = slots[j - 1].shape[1]
-            out[:, at:at + width] = slots[j - 1]
+            out[rows, at:at + width] = slots[j - 1]
             at += width
-        out[:, at:at + len(literal)] = literal
+        out[rows, at:at + len(literal)] = literal
         at += len(literal)
-    return out
 
 
 def _slots(formats: list[str], columns) -> list[np.ndarray]:

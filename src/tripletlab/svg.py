@@ -4,9 +4,9 @@ No plotting dependency; output is deterministic, self-contained XML with
 nothing external referenced, so files diff cleanly across runs.
 
 Every coordinate (and every other float the charts print) is written by
-the package's one number renderer, ``_render._rows``, which also writes
-every CSV cell: it fills ``%.2f`` templates from whole float64 columns
-with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from byte
+the package's one number renderer, ``_render``, which also writes every
+CSV cell: ``_render._rows`` fills ``%.2f`` templates from whole float64
+columns with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from byte
 tables; a value whose |v| * 100 lies within 1e-6 of a half (exact ties
 such as 0.125 included) or whose |v| is not below 9999.995 (inf and nan
 included) is printed by ``"%.2f" %`` itself.

@@ -124,8 +124,8 @@ def write_table(path: str | Path, header: list[str], columns) -> None:
     if len({len(c) for c in columns}) > 1:
         raise ValueError("every column must have the same length")
     template = ",".join(fmts[c.dtype.kind] for c in columns)
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(_blocks([template], columns))
 
 

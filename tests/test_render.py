@@ -112,6 +112,6 @@ def test_blocks_match_percent_row_by_row(rows, block_rows, seed):
         blocks = list(_render._blocks(templates, columns, which))
     assert len(blocks) == -(-rows // block_rows)
     # a template with j slots takes the first j columns
-    assert "".join(blocks) == "".join(
+    assert b"".join(blocks).decode() == "".join(
         templates[w] % tuple(c[i] for c in columns[:4 - 2 * w]) + "\n"
         for i, w in enumerate(which.tolist()))
