@@ -180,30 +180,37 @@ def _block(pieces, columns, which: np.ndarray, cut: int) -> bytearray:
     filled = []
     for t, (literals, formats) in enumerate(pieces):
         rows = which == t if len(pieces) > 1 else slice(None)
-        filled.append((rows, literals, _slots(
-            formats, [np.asarray(c)[rows] for c in columns[:len(formats)]])))
-    width = max(sum(map(len, literals)) + sum(s.shape[1] for s in slots)
-                for _, literals, slots in filled)
+        slots = _slots(formats, [np.asarray(c)[rows]
+                                 for c in columns[:len(formats)]])
+        size = sum(map(len, literals)) + sum(s.shape[1] for s in slots)
+        filled.append((rows, literals, slots, size))
+    width = max(size for *_, size in filled)
     text = bytearray(len(which) * width)  # all pads: _PAD is 0
     out = np.frombuffer(text, np.uint8).reshape(len(which), width)
-    for rows, literals, slots in filled:
-        _fill(out, rows, literals, slots)
+    for rows, literals, slots, size in filled:
+        if len(filled) == 1:
+            _fill(out, literals, slots)
+        else:  # a masked write per template, not per literal and slot
+            part = np.empty((np.count_nonzero(rows), size), np.uint8)
+            out[rows, :size] = _fill(part, literals, slots)
     del filled, out  # the slots go before the padless copy is made
     text = text.translate(None, bytes([_PAD]))
     del text[len(text) - cut:]
     return text
 
 
-def _fill(out: np.ndarray, rows, literals, slots: list[np.ndarray]) -> None:
-    """Lay the rows of literals, with the slots between them, into out."""
+def _fill(out: np.ndarray, literals, slots: list[np.ndarray]) -> np.ndarray:
+    """out, with the literals and the slots between them laid into its
+    leading columns."""
     at = 0
     for j, literal in enumerate(literals):
         if j:
             width = slots[j - 1].shape[1]
-            out[rows, at:at + width] = slots[j - 1]
+            out[:, at:at + width] = slots[j - 1]
             at += width
-        out[rows, at:at + len(literal)] = literal
+        out[:, at:at + len(literal)] = literal
         at += len(literal)
+    return out
 
 
 def _slots(formats: list[str], columns) -> list[np.ndarray]:
