@@ -1,9 +1,11 @@
 """Numbers as text, a whole column at a time: every number in the package's
 CSV and SVG files is written here.
 
-A template is text with ``%.2f``, ``%.12g`` and ``%d`` slots. ``_blocks``
-fills rows of templates from whole columns, ``_BLOCK_ROWS`` rows at a time,
-with the bytes ``template % row`` gives. Each slot's encoder builds every
+A template is text with ``%.2f``, ``%.12g`` and ``%d`` slots. ``_blocks``,
+the module's one entry, fills rows of templates from whole columns,
+``_BLOCK_ROWS`` rows at a time, and yields each block as the bytes
+``template % row`` gives; the CSV writer and the SVG charts pass those
+bytes on to their files as they are. Each slot's encoder builds every
 value of its column as a fixed-width slot of bytes, with ``_PAD`` bytes
 wherever the text is shorter; a block's rows are laid out with the
 template literals, and the block's pad bytes are dropped at once. A value
@@ -142,26 +144,13 @@ _DIGITS, _WORDS, _VARIANTS = _digit_tables()
  _SUFFIX) = _exponent_tables()
 
 
-def _rows(templates: Sequence[str], values, which=None,
-          sep: str = "\n") -> list[str]:
-    """Row i is ``templates[which[i]] % tuple(values[i])``; rows are joined
-    by sep into blocks of ``_BLOCK_ROWS``, so sep.join of the blocks is the
-    whole text.
-
-    A template with j slots takes the first j values of its row, as
-    float64. which defaults to template 0 for every row.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    return [block.decode()
-            for block in _blocks(templates, values.T, which, sep, len(sep))]
-
-
-def _blocks(templates: Sequence[str], columns, which=None, sep: str = "\n",
-            cut: int = 0) -> Iterator[bytearray]:
-    """Blocks of ``_BLOCK_ROWS`` rows as ASCII bytes, each row
-    ``(templates[which[i]] + sep) % tuple(c[i] for c in columns)`` and
-    each block without its last cut bytes. Slot j of a template takes
-    columns[j]."""
+def _blocks(templates: Sequence[str], columns, which=None,
+            sep: str = "\n") -> Iterator[bytearray]:
+    """Blocks of ``_BLOCK_ROWS`` rows as ASCII bytes, row i
+    ``(templates[which[i]] + sep) % tuple(c[i] for c in columns)``: every
+    row ends with sep, so the blocks' join is the whole text. Slot j of a
+    template takes columns[j]; which defaults to template 0 for every
+    row."""
     which = (np.zeros(len(columns[0]), np.intp) if which is None
              else np.asarray(which, dtype=np.intp))
     pieces = []
@@ -172,11 +161,11 @@ def _blocks(templates: Sequence[str], columns, which=None, sep: str = "\n",
     step = _BLOCK_ROWS
     for lo in range(0, len(which), step):
         yield _block(pieces, [c[lo:lo + step] for c in columns],
-                     which[lo:lo + step], cut)
+                     which[lo:lo + step])
 
 
-def _block(pieces, columns, which: np.ndarray, cut: int) -> bytearray:
-    """One block's rows, its last row without its cut bytes."""
+def _block(pieces, columns, which: np.ndarray) -> bytearray:
+    """One block's rows."""
     filled = []
     for t, (literals, formats) in enumerate(pieces):
         rows = which == t if len(pieces) > 1 else slice(None)
@@ -194,9 +183,7 @@ def _block(pieces, columns, which: np.ndarray, cut: int) -> bytearray:
             part = np.empty((np.count_nonzero(rows), size), np.uint8)
             out[rows, :size] = _fill(part, literals, slots)
     del filled, out  # the slots go before the padless copy is made
-    text = text.translate(None, bytes([_PAD]))
-    del text[len(text) - cut:]
-    return text
+    return text.translate(None, bytes([_PAD]))
 
 
 def _fill(out: np.ndarray, literals, slots: list[np.ndarray]) -> np.ndarray:

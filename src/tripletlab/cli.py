@@ -3,7 +3,8 @@ rollout, training, and diagram export.
 
 Every command resolves relative output paths against $TRIPLETLAB_OUT
 (default: the working directory), writes its artifacts (each CSV from whole
-columns through ``synthdata.write_table``) plus a JSON run manifest that
+columns through ``synthdata.write_table``, each SVG chart's bytes exactly
+as the chart returns them) plus a JSON run manifest that
 records its flag values exactly and the sha256 of each artifact, and is
 byte-deterministic given its flags. ``tripletlab rerun <manifest>``
 re-executes a recorded run next to the manifest and reports every
@@ -150,7 +151,7 @@ def run_simulate(cfg: dict, arts: _Artifacts) -> str:
         [field.s_ap, field.s_an, field.d_sap, field.d_san,
          field.d_sap_total, field.d_san_total],
     )
-    arts.path("field_svg", ".field.svg").write_text(field_quiver(
+    arts.path("field_svg", ".field.svg").write_bytes(field_quiver(
         field.s_ap, field.s_an, field.d_sap_total, field.d_san_total,
         f"{cfg['loss']} field (p={cfg['p']:g}, gamma={cfg['gamma']:g}, "
         f"beta_scale={cfg['beta_scale']:g})",
@@ -170,7 +171,7 @@ def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
     write_table(arts.path("trajectory_csv", ".trajectory.csv"),
                 ["s_ap", "s_an", "d_sap", "d_san"],
                 [*points.T, upd.d_sap_total, upd.d_san_total])
-    arts.path("trajectory_svg", ".trajectory.svg").write_text(trajectory_path(
+    arts.path("trajectory_svg", ".trajectory.svg").write_bytes(trajectory_path(
         *points.T,
         f"{cfg['loss']} trajectory from "
         f"({cfg['start_sap']:g}, {cfg['start_san']:g})",
@@ -204,7 +205,7 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
                 [np.array([r[c] for r in records]) for c in columns])
     write_table(arts.path("weights_csv", ".weights.csv"),
                 [f"w{j}" for j in range(params.embed_dim)], params.weight.T)
-    arts.path("curves_svg", ".curves.svg").write_text(line_chart(
+    arts.path("curves_svg", ".curves.svg").write_bytes(line_chart(
         [
             ("recall@1", [log.recall_at_1 for log in logs]),
             ("hard_fraction", [log.hard_fraction for log in logs]),
@@ -243,7 +244,7 @@ def run_diagram(cfg: dict, arts: _Artifacts) -> str:
     write_table(arts.path("diagram_csv", ".diagram.csv"),
                 ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
                 _triplet_columns(triplets) + [hard])
-    arts.path("diagram_svg", ".diagram.svg").write_text(diagram_scatter(
+    arts.path("diagram_svg", ".diagram.svg").write_bytes(diagram_scatter(
         triplets.s_ap, triplets.s_an, hard,
         "easiest-positive / hardest-negative diagram",
     ))

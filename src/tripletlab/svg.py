@@ -1,16 +1,17 @@
 """Minimal hand-emitted SVG charts: diagram scatter, quiver, line chart.
 
 No plotting dependency; output is deterministic, self-contained XML with
-nothing external referenced, so files diff cleanly across runs.
+nothing external referenced, so files diff cleanly across runs. Each chart
+returns its document as bytes, joined once from the renderer's blocks;
+the CLI writes them to the file exactly as returned.
 
 Every coordinate (and every other float the charts print) is written by
-the package's one number renderer, ``_render``, which also writes every
-CSV cell: ``_render._rows`` fills ``%.2f`` templates from whole float64
-columns with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from byte
+the package's one number renderer, ``_render._blocks``, which also writes
+every CSV cell: it fills ``%.2f`` templates from whole float64 columns
+with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from byte
 tables; a value whose |v| * 100 lies within 1e-6 of a half (exact ties
 such as 0.125 included) or whose |v| is not below 9999.995 (inf and nan
-included) is printed by ``"%.2f" %`` itself.
-"""
+included) is printed by ``"%.2f" %`` itself."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._render import _rows
+from ._render import _blocks
 
 WIDTH = 560
 HEIGHT = 560
@@ -47,25 +48,19 @@ def _sq_y(v: float) -> float:
     return HEIGHT - MARGIN - (v + 1.0) / 2.0 * (HEIGHT - 2 * MARGIN)
 
 
-def _pixels(s_ap, s_an) -> np.ndarray:
-    """Diagram points as rows of (x, y) pixels."""
-    return np.column_stack([_sq_x(np.asarray(s_ap, dtype=np.float64)),
-                            _sq_y(np.asarray(s_an, dtype=np.float64))])
+def _chart_y(v: float) -> float:
+    """Line-chart fraction in [0, 1] to pixel y."""
+    return HEIGHT - MARGIN - v * (HEIGHT - 2 * MARGIN)
 
 
-def _document(body: list[str], title: str) -> str:
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="{MARGIN // 2}" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{title}</text>',
-    ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+def _pixels(s_ap, s_an) -> tuple[np.ndarray, np.ndarray]:
+    """Diagram points as columns of x and y pixels."""
+    return (_sq_x(np.asarray(s_ap, dtype=np.float64)),
+            _sq_y(np.asarray(s_an, dtype=np.float64)))
 
 
-def _square_axes(x_label: str, y_label: str) -> list[str]:
+def _square_axes() -> bytes:
+    """The diagram's frame, ticks, s_ap and s_an labels and diagonal."""
     x0, x1 = _sq_x(-1.0), _sq_x(1.0)
     y0, y1 = _sq_y(-1.0), _sq_y(1.0)
     parts = ['<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
@@ -80,25 +75,64 @@ def _square_axes(x_label: str, y_label: str) -> list[str]:
         ]
         values += [_sq_x(v), y0 + 18, x0 - 8, _sq_y(v) + 4]
     parts += [
-        f'<text x="{(WIDTH) // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{x_label}</text>',
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="monospace" font-size="12">s_ap</text>',
         f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {HEIGHT // 2})">{y_label}</text>',
+        f'transform="rotate(-90 16 {HEIGHT // 2})">s_an</text>',
         # the s_an = s_ap diagonal separating hard from easy triplets
         '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
         'stroke="gray" stroke-dasharray="5,4"/>',
     ]
     values += [x0, y0, x1, y1]
-    return _rows(["\n".join(parts)], [values])
+    return b"".join(_blocks(["\n".join(parts)], [[v] for v in values]))
+
+
+def _chart_frame() -> bytes:
+    """The line chart's frame, y ticks at quarters and epoch label."""
+    parts = [f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
+             f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>']
+    values = []
+    for v in np.arange(5) / 4:
+        parts.append(f'<text x="{MARGIN - 8}" y="%.2f" text-anchor="end" '
+                     'font-family="monospace" font-size="11">%.2f</text>')
+        values += [_chart_y(v) + 4, v]
+    parts.append(
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="monospace" font-size="12">epoch</text>'
+    )
+    return b"".join(_blocks(["\n".join(parts)], [[v] for v in values]))
+
+
+_AXES = _square_axes()
+_FRAME = _chart_frame()
+
+
+def _document(body: list, title: str) -> bytes:
+    """The chart's bytes in one join: head, title, the body's lines (each
+    ending in a newline) and the closing tag."""
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+            f'<text x="{WIDTH // 2}" y="{MARGIN // 2}" text-anchor="middle" '
+            f'font-family="monospace" font-size="14">{title}</text>\n')
+    return b"".join([head.encode(), *body, b"</svg>\n"])
+
+
+def _polyline(x, y, color: str) -> bytes:
+    """A polyline through the pixels (x, y); the points' last space is
+    sliced off their joined bytes."""
+    points = b"".join(_blocks(["%.2f,%.2f"], [x, y], sep=" "))[:-1]
+    return (b'<polyline points="%s" fill="none" stroke="%s" '
+            b'stroke-width="1.5"/>\n' % (points, color.encode()))
 
 
 def diagram_scatter(s_ap: Sequence[float], s_an: Sequence[float],
-                    hard: Sequence[bool], title: str) -> str:
+                    hard: Sequence[bool], title: str) -> bytes:
     """Scatter of diagram points (s_ap, s_an); hard ones drawn in red."""
-    body = _square_axes("s_ap", "s_an")
-    body += _rows(_POINTS, _pixels(s_ap, s_an), hard)
-    return _document(body, title)
+    return _document([_AXES, *_blocks(_POINTS, _pixels(s_ap, s_an), hard)],
+                     title)
 
 
 def field_quiver(
@@ -107,14 +141,14 @@ def field_quiver(
     d_sap: Sequence[float],
     d_san: Sequence[float],
     title: str,
-) -> str:
+) -> bytes:
     """Arrow per cell, length scaled by delta magnitude; an arrow shorter
     than 0.15 px is drawn as a gray dot."""
-    body = _square_axes("s_ap", "s_an")
-    return _document(body + _quiver_cells(s_ap, s_an, d_sap, d_san), title)
+    return _document([_AXES, *_quiver_cells(s_ap, s_an, d_sap, d_san)],
+                     title)
 
 
-def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[str]:
+def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[bytearray]:
     """One arrow or dot per cell; its arrays are freed on return, before
     the document's cells are joined."""
     d = np.array([d_sap, d_san], dtype=np.float64)
@@ -125,69 +159,44 @@ def _quiver_cells(s_ap, s_an, d_sap, d_san) -> list[str]:
     max_mag = mags.max(initial=0.0)
     cell_px = (WIDTH - 2 * MARGIN) / max(mags.size ** 0.5 - 1, 1)
     scale = 0.0 if max_mag == 0 else 0.9 * cell_px / max_mag
-    cells = np.zeros((mags.size, 10))
-    cells[:, :2] = _pixels(s_ap, s_an)
+    cells = np.zeros((10, mags.size))
+    cells[:2] = _pixels(s_ap, s_an)
     arrow = mags * scale >= 0.15
-    (dx, dy), mags, (x0, y0) = d[:, arrow], mags[arrow], cells[arrow, :2].T
+    (dx, dy), mags, (x0, y0) = d[:, arrow], mags[arrow], cells[:2, arrow]
     qx, qy = x0 + dx * scale, y0 - dy * scale
     ux, uy = (qx - x0) / (mags * scale), (qy - y0) / (mags * scale)
     head = np.where(mags * scale < 10, 0.3 * mags * scale, 3.0)
     lx, ly = qx - head * (ux - 0.5 * uy), qy - head * (uy + 0.5 * ux)
     rx, ry = qx - head * (ux + 0.5 * uy), qy - head * (uy - 0.5 * ux)
-    cells[arrow, 2:] = np.column_stack([qx, qy, lx, ly, qx, qy, rx, ry])
-    return _rows((_DOT, _ARROW), cells, arrow)
+    cells[2:, arrow] = [qx, qy, lx, ly, qx, qy, rx, ry]
+    return list(_blocks((_DOT, _ARROW), cells, arrow))
 
 
 def trajectory_path(s_ap: Sequence[float], s_an: Sequence[float],
-                    title: str) -> str:
+                    title: str) -> bytes:
     """Polyline through diagram points; start marked green, end red."""
-    xy = _pixels(s_ap, s_an)
-    coords = " ".join(_rows(["%.2f,%.2f"], xy, sep=" "))
-    body = _square_axes("s_ap", "s_an")
-    body.append(
-        f'<polyline points="{coords}" fill="none" stroke="{EASY_COLOR}" '
-        f'stroke-width="1.5"/>'
-    )
-    if len(xy):
-        body += _rows([_ENDS], xy[[0, -1]].reshape(1, 4))
+    x, y = _pixels(s_ap, s_an)
+    body = [_AXES, _polyline(x, y, EASY_COLOR)]
+    if len(x):
+        body += _blocks([_ENDS], [x[:1], y[:1], x[-1:], y[-1:]])
     return _document(body, title)
 
 
 def line_chart(series: Sequence[tuple[str, Sequence[float]]],
-               title: str) -> str:
+               title: str) -> bytes:
     """One polyline per (label, values) series over an integer x axis and
     a fixed [0, 1] y axis: every charted series is a fraction."""
     n = max((len(vals) for _, vals in series), default=1)
-
-    def py(v):
-        return HEIGHT - MARGIN - v * (HEIGHT - 2 * MARGIN)
-
-    body = [
-        f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
-        f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>'
-    ]
-    ticks = np.arange(5) / 4
-    body += _rows([f'<text x="{MARGIN - 8}" y="%.2f" text-anchor="end" '
-                   'font-family="monospace" font-size="11">%.2f</text>'],
-                  np.column_stack([py(ticks) + 4, ticks]))
-    body.append(
-        f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">epoch</text>'
-    )
+    body = [_FRAME]
     for idx, (label, values) in enumerate(series):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
         values = np.asarray(values, dtype=np.float64)
         px = MARGIN + (np.arange(len(values)) / max(n - 1, 1)) * (
             WIDTH - 2 * MARGIN)
-        coords = " ".join(_rows(["%.2f,%.2f"],
-                                np.column_stack([px, py(values)]), sep=" "))
-        body.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
+        body.append(_polyline(px, _chart_y(values), color))
         body.append(
             f'<text x="{MARGIN + 10}" y="{MARGIN + 18 + 16 * idx}" '
             f'font-family="monospace" font-size="12" '
-            f'fill="{color}">{label}</text>'
+            f'fill="{color}">{label}</text>\n'.encode()
         )
     return _document(body, title)

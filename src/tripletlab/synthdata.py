@@ -140,7 +140,7 @@ def read_table(
     """
     path = Path(path)
     try:
-        with path.open("r", newline="") as fh:
+        with path.open("r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: not UTF-8 text ({exc})") from exc

@@ -76,6 +76,20 @@ EXACT_UNIT_ROWS = [v for v in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0),
                    if sum(x * x for x in v) == 1.0]
 
 
+# values "%.2f" prints through its fallback: signed zeros, subnormals,
+# exact and near ties of a half cent, both sides of +-9999.995, +-1e300
+# and non-finite values
+_HALF_CENTS = [v for x in (0.005, 0.125, 0.375, 1.005, 2.675, 235.005,
+                           9999.985)
+               for v in (x, np.nextafter(x, 0.0), np.nextafter(x, 20000.0))]
+SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+     0.004999999999999999, -0.004999999999999999, 9999.994999999999,
+     9999.995, np.nextafter(9999.995, 0.0), np.nextafter(9999.995, 1e5),
+     1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+     -np.nan] + _HALF_CENTS + [-v for v in _HALF_CENTS])
+
+
 def triplets_of(rows):
     """Triplets of MinedTriplet rows: backward takes arrays, not rows."""
     idx = np.array([r[:3] for r in rows], dtype=np.int64).reshape(-1, 3)

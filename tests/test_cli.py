@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tripletlab
 from tripletlab.cli import main
 from tripletlab.trainer import MAX_BATCHES_PER_EPOCH, MAX_EPOCHS
 
@@ -333,6 +337,26 @@ class TestRerun:
         assert main(["rerun", str(path)]) == 2
         err = capsys.readouterr().err
         assert "malformed manifest" in err and key in err
+
+
+def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, a UTF-8 dataset with a
+    non-ASCII column name is read, and a byte that is not UTF-8 is still
+    refused."""
+    rows = "0,0.6,0.8\n0,0.8,0.6\n1,0,1\n1,1,0\n"
+    (tmp_path / "utf8.csv").write_bytes(f"label,x0,x\u00e9\n{rows}".encode())
+    (tmp_path / "ff.csv").write_bytes(b"label,x0,x\xff\n" + rows.encode())
+    src = str(Path(tripletlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "TRIPLETLAB_OUT": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH",
+                                                              "")])}
+    codes = [subprocess.run([sys.executable, "-m", "tripletlab.cli",
+                             "diagram", "--data", str(tmp_path / name),
+                             "--out-prefix", "d"],
+                            env=env, capture_output=True).returncode
+             for name in ("utf8.csv", "ff.csv")]
+    assert codes == [0, 2]
 
 
 def test_huge_finite_field_draws_without_nan(outdir, capsys):

@@ -62,6 +62,7 @@ FIELDS = {
 }
 PARAMETERS = {
     tripletlab.vector_field: ["resolution", "params"],
+    svg.field_quiver: ["s_ap", "s_an", "d_sap", "d_san", "title"],
     svg.line_chart: ["series", "title"],
     svg.diagram_scatter: ["s_ap", "s_an", "hard", "title"],
     svg.trajectory_path: ["s_ap", "s_an", "title"],
@@ -110,6 +111,16 @@ def test_settings_exactly(cls):
 @pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__name__)
 def test_parameters_exactly(fn):
     assert list(inspect.signature(fn).parameters) == PARAMETERS[fn]
+
+
+def test_charts_return_bytes():
+    """The CLI writes each chart's bytes to its file as they are."""
+    one = [0.5]
+    charts = [svg.field_quiver(one, one, one, one, "q"),
+              svg.diagram_scatter(one, one, [True], "s"),
+              svg.trajectory_path(one, one, "t"),
+              svg.line_chart([("a", one)], "c")]
+    assert [type(chart) for chart in charts] == [bytes] * 4
 
 
 # What the benchmark harness reads: recall by position, mined rows by

@@ -1,5 +1,6 @@
 """The byte renderer against the ``%`` oracle: each encoder value by value,
-and whole rows of mixed templates in blocks of 1 to 7 rows."""
+and whole rows of one template or of two mixed, in blocks of 1 to 7
+rows."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletlab import _render
+
+from conftest import SPECIAL
 
 
 def _texts(fmt: str, values) -> list[str]:
@@ -85,33 +88,49 @@ def test_fixed_matches_percent_on_the_general_edges():
     assert _texts("%.2f", EDGES) == ["%.2f" % v for v in EDGES]
 
 
-def _floats(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random bit patterns, normals at random decades, and EDGES values."""
+def _floats(rng: np.random.Generator, n: int, special=EDGES,
+            decades: int = 40) -> np.ndarray:
+    """Random bit patterns, normals at random decades, and special
+    values."""
     bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
     values = np.where(rng.random(n) < 0.3, bits.view(np.float64),
                       rng.standard_normal(n) * 10.0 ** rng.integers(
-                          -40, 40, n))
+                          -decades, decades, n))
     where = rng.random(n) < 0.3
-    values[where] = rng.choice(EDGES, where.sum())
+    values[where] = rng.choice(special, where.sum())
     return values
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(rows=st.integers(0, 40), block_rows=st.integers(1, 7),
-       seed=st.integers(0, 2**32 - 1))
-def test_blocks_match_percent_row_by_row(rows, block_rows, seed):
-    """Rows of two templates in mixed order, with every slot kind, in
-    blocks of 1 to 7 rows."""
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 40), two=st.booleans(),
+       block_rows=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_blocks_match_percent_row_by_row(rows, two, block_rows, seed):
+    """Rows of one template, or of two in mixed order, with every slot
+    kind, adjacent slots and slots of one format grouped, in blocks of 1
+    to 7 rows; each row ends with its sep. The %.2f columns hold
+    pixel-scale and SPECIAL values."""
     rng = np.random.default_rng(seed)
-    templates = ["%.12g,%d;%.2f|%.12g", "[%.12g %d]"]
-    columns = [_floats(rng, rows), rng.choice(INTS, rows),
-               _floats(rng, rows), _floats(rng, rows)]
-    which = rng.integers(0, 2, rows)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_render, "_BLOCK_ROWS", block_rows)
-        blocks = list(_render._blocks(templates, columns, which))
-    assert len(blocks) == -(-rows // block_rows)
-    # a template with j slots takes the first j columns
-    assert b"".join(blocks).decode() == "".join(
-        templates[w] % tuple(c[i] for c in columns[:4 - 2 * w]) + "\n"
-        for i, w in enumerate(which.tolist()))
+    templates = ["%.2f,%d;%.12g|%.12g%.2f", "[%.2f%d]"][:1 + two]
+    columns = [_floats(rng, rows, SPECIAL, 3), rng.choice(INTS, rows),
+               _floats(rng, rows), _floats(rng, rows),
+               _floats(rng, rows, SPECIAL, 3)]
+    which = rng.integers(0, len(templates), rows)
+    for sep in ("\n", " "):
+        # a template with j slots takes the first j columns
+        texts = [(templates[w] + sep) % tuple(c[i]
+                                              for c in columns[:5 - 3 * w])
+                 for i, w in enumerate(which.tolist())]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_render, "_BLOCK_ROWS", block_rows)
+            blocks = list(_render._blocks(templates, columns, which, sep))
+        assert blocks == ["".join(texts[lo:lo + block_rows]).encode()
+                          for lo in range(0, rows, block_rows)]
+
+
+def test_renderer_special_values_one_by_one():
+    """Each SPECIAL value alone in its block, and all of them in one."""
+    for v in SPECIAL:
+        assert list(_render._blocks(["%.2f"], [[v]])) == [
+            ("%.2f\n" % v).encode()]
+    assert list(_render._blocks(["%.2f"], [SPECIAL])) == [
+        "".join("%.2f\n" % v for v in SPECIAL).encode()]
