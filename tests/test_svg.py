@@ -90,6 +90,28 @@ def _values(rng: np.random.Generator, shape) -> np.ndarray:
     return values.reshape(shape)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 40), two=st.booleans(),
+       block_rows=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_renderer_matches_percent_format(rows, two, block_rows, seed):
+    """Every row of a chart template equals "%"-formatting of it, for one
+    template or two in mixed order, in blocks of 1 to 7 rows."""
+    rng = np.random.default_rng(seed)
+    templates = ['<p a="%.2f" b="%.2f%.2f"/>', "[%.2f]"][:1 + two]
+    values = _values(rng, (rows, 3))
+    which = rng.integers(0, len(templates), rows)
+    slots = [t.count("%.2f") for t in templates]
+    for sep in ("\n", " "):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_render, "_BLOCK_ROWS", block_rows)
+            blocks = list(_render._blocks(templates, list(values.T), which,
+                                          sep))
+        assert len(blocks) == -(-rows // block_rows)
+        assert b"".join(blocks) == "".join(
+            (templates[w] + sep) % tuple(row[:slots[w]].tolist())
+            for w, row in zip(which.tolist(), values)).encode()
+
+
 # The emitters the renderer replaced: the reference for every chart
 def _f(x: float) -> str:
     return f"{x:.2f}"
