@@ -23,7 +23,6 @@ from .geometry import (
 )
 from .losses import (
     CoordGrad,
-    FeatureGrads,
     LossKind,
     LossSpec,
     batch_feature_grads,

@@ -8,14 +8,14 @@ Three losses over the diagram point (s_ap, s_an):
   (s_an > s_ap, strict), otherwise the softmax-ratio loss
 
 Gradients come in two flavors: with respect to the diagram coordinates
-(CoordGrad) and with respect to the raw feature vectors (FeatureGrads).
+(CoordGrad) and with respect to the raw feature vectors.
 The learning rate is deliberately NOT folded in here; dynamics and the
 trainer apply their own step sizes to the same gradient code.
 
 ``loss_values`` and ``coord_grads`` work elementwise over coordinate
 arrays, as do ``softmax_weight``, ``is_hard`` and ``hinge_argument``; a
 diagram point of floats is the one-element case. ``batch_feature_grads``
-takes (k, d) rows of feature vectors, k = 1 for a single triplet.
+takes k diagram points and (k, 3, d) feature vectors, k = 1 for one.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class LossSpec:
 class CoordGrad(NamedTuple):
     d_sap: float
     d_san: float
-
-
-class FeatureGrads(NamedTuple):
-    g_a: np.ndarray
-    g_p: np.ndarray
-    g_n: np.ndarray
 
 
 def softmax_weight(coord: TripletCoord) -> float:
@@ -126,17 +120,18 @@ def coord_grads(coords, spec: LossSpec) -> CoordGrad:
     return CoordGrad(np.where(hard, 0.0, 0.0 - d), np.where(hard, spec.lam, d))
 
 
-def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cosine: a stacked matmul keeps np.dot's bits, einsum not."""
-    return np.clip((u[:, None, :] @ v[:, :, None])[:, 0, 0], -1.0, 1.0)
+# role indices into (k, 3, d) anchor, positive, negative rows: g_a, g_p and
+# g_n lie along f_n, f_a and f_a, less f_p, f_p and f_n under the margin loss
+_ALONG = np.array([2, 0, 0])
+_LESS = np.array([1, 1, 2])
 
 
-def batch_feature_grads(
-    f_a: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, spec: LossSpec
-) -> FeatureGrads:
+def batch_feature_grads(coords, feats: np.ndarray,
+                        spec: LossSpec) -> np.ndarray:
     """Gradient of the selected loss with respect to the feature vectors
-    of k triplets, from (k, d) rows of unit anchor, positive and negative
-    vectors; returns (k, d) rows.
+    of k triplets: (k, 3, d) gradients for (k, 3, d) unit anchor, positive
+    and negative rows, taken at the diagram points coords (s_ap and s_an
+    arrays, such as the mined Triplets) as given, not measured again.
 
     For the softmax-ratio loss: g_p = -sigma*f_a, g_n = +sigma*f_a,
     g_a = sigma*(f_n - f_p). For the margin loss with an active hinge:
@@ -144,16 +139,12 @@ def batch_feature_grads(
     when inactive. The selective hard branch differentiates lam * f_a.f_n
     directly: g_n = lam*f_a, g_a = lam*f_n, g_p = 0.
     """
-    coords = TripletCoord(_cosines(f_a, f_p), _cosines(f_a, f_n))
-    d_sap, d_san = (d[:, None] for d in coord_grads(coords, spec))
+    d_sap, d_san = coord_grads(coords, spec)
+    along = feats[:, _ALONG]
     if spec.kind == LossKind.MARGIN:
         # squared distances: ||f_a - f_p||^2 pulls f_p along f_a - f_p
-        g_p, g_n = d_sap * (f_a - f_p), d_san * (f_a - f_n)
-    else:
-        g_p, g_n = d_sap * f_a, d_san * f_a
-    g_a = d_san * (f_n - f_p)
-    if spec.kind == LossKind.SCT:
-        # on hard rows d_san is lam, so g_n is already lam * f_a
-        hard = is_hard(coords)[:, None]
-        g_a = np.where(hard, spec.lam * f_n, g_a)
-    return FeatureGrads(g_a=g_a, g_p=g_p, g_n=g_n)
+        along -= feats[:, _LESS]
+    else:  # g_a along f_n - f_p, or f_n where the selective loss is hard
+        easy = True if spec.kind != LossKind.SCT else ~is_hard(coords)[:, None]
+        np.subtract(along[:, 0], feats[:, 1], out=along[:, 0], where=easy)
+    return np.array((d_san, d_sap, d_san)).T[:, :, None] * along

@@ -118,7 +118,7 @@ def _argmax_where(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Column of each row's k-th (0-based) True entry."""
-    return (np.cumsum(mask, axis=1) > k[:, None]).argmax(axis=1)
+    return (mask.cumsum(axis=1) > k[:, None]).argmax(axis=1)
 
 
 def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
@@ -144,28 +144,28 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     labels = batch.labels
     ordered = np.sort(labels)
     # each item's class size: the span of its label in the sorted labels
-    size = (np.searchsorted(ordered, labels, "right")
-            - np.searchsorted(ordered, labels, "left"))
+    size = (ordered.searchsorted(labels, "right")
+            - ordered.searchsorted(labels, "left"))
     # an anchor needs a positive and a negative
-    anchors = np.flatnonzero((size > 1) & (size < len(batch)))
+    anchors = ((size > 1) & (size < len(batch))).nonzero()[0]
     random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
                                 MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE)
     random_n = strategy in (MiningStrategy.RANDOM,
                             MiningStrategy.EASY_POSITIVE)
-    counts = (([size[anchors] - 1] if random_p else [])
-              + ([len(batch) - size[anchors]] if random_n else []))
     # a row per anchor: the positive's draw, then the negative's
-    counts = np.array(counts, np.int64).T
+    counts = np.empty((anchors.size, random_p + random_n), np.int64)
+    counts[:, :random_p] = size[anchors, None] - 1
+    counts[:, random_p:] = len(batch) - size[anchors, None]
     drawn = (counts > 1).any()
     draws = (np.random.default_rng(seed).integers(0, counts)
-             if drawn else np.zeros_like(counts))
+             if drawn else np.zeros(counts.shape, np.int64))
     positive = np.empty_like(anchors)
     negative = np.empty_like(anchors)
     s_ap = np.empty(anchors.shape)
     s_an = np.empty(anchors.shape)
     emb = batch.embeddings
     for lo, block in _row_blocks(emb, emb):
-        np.clip(block, -1.0, 1.0, out=block)
+        block.clip(-1.0, 1.0, out=block)
         # the anchors among this block's rows
         part = slice(anchors.searchsorted(lo),
                      anchors.searchsorted(lo + len(block)))

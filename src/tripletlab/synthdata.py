@@ -58,6 +58,8 @@ class DatasetConfig:
             )
         if not (np.isfinite(self.intra_spread) and self.intra_spread >= 0):
             raise ValueError("intra_spread must be finite and >= 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError(f"embed_dim must lie in [2, {MAX_EMBED_DIM}]")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.batches_per_epoch is not None and not (
             1 <= self.batches_per_epoch <= MAX_BATCHES_PER_EPOCH
         ):
@@ -136,23 +138,23 @@ def backward(inputs: np.ndarray, feats: np.ndarray, norms: np.ndarray,
 
     feats, norms = embed(params, inputs) at the weights differentiated;
     triplet indices refer to rows of inputs. Per-feature gradients from
-    one batched loss evaluation are summed per row in triplet order
-    (anchor, positive, negative, then the next triplet), optionally pushed
+    one batched loss evaluation at the triplets' own (s_ap, s_an) are
+    summed per row, each entry from 0.0 in triplet order (anchor, positive,
+    negative, then the next triplet) as np.add.at sums, optionally pushed
     through the normalization Jacobian, then chained through the linear map.
     """
     t = triplets
     xs = np.asarray(inputs, dtype=np.float64)
+    n, d = feats.shape
     if not t:
-        return np.zeros((xs.shape[1], feats.shape[1]))
-    grads = batch_feature_grads(
-        feats[t.anchor], feats[t.positive], feats[t.negative], loss
-    )
-    rows = np.column_stack([t.anchor, t.positive, t.negative]).ravel()
-    grad_feat = np.zeros_like(feats)
-    np.add.at(grad_feat, rows, (1.0 / len(t))
-              * np.stack(grads, axis=1).reshape(rows.size, -1))
+        return np.zeros((xs.shape[1], d))
+    rows = np.array((t.anchor, t.positive, t.negative)).T
+    grads = (1.0 / len(t)) * batch_feature_grads(t, feats[rows], loss)
+    entries = rows[:, :, None] * d + np.arange(d)
+    grad_feat = np.bincount(entries.ravel(), grads.ravel(),
+                            minlength=n * d).reshape(n, d)
     if grad_mode == GradMode.THROUGH_NORMALIZATION:
-        radial = np.sum(grad_feat * feats, axis=1, keepdims=True)
+        radial = (grad_feat * feats).sum(axis=1, keepdims=True)
         grad_z = (grad_feat - feats * radial) / norms
     else:
         grad_z = grad_feat
@@ -166,10 +168,12 @@ def _sample_batch(rng: np.random.Generator, rows: np.ndarray,
     call draws what rng.choice(n, 2, replace=False) would: Floyd's d0 < n-1,
     d1 < n (n-1 if d1 == d0), then d2 < 2, which swaps the pair when 0."""
     chosen = rng.choice(size.size, size=classes_per_batch, replace=False)
-    n = size[chosen]
-    d0, d1, d2 = rng.integers(0, np.column_stack([n - 1, n, 0 * n + 2])).T
-    d1 = np.where(d1 == d0, n - 1, d1)
-    return rows[(start[chosen] + np.where(d2, (d0, d1), (d1, d0))).T.ravel()]
+    bounds = size[chosen, None] - (1, 0, 0)
+    bounds[:, 2] = 2
+    d = rng.integers(0, bounds)
+    d[:, 1] = np.where(d[:, 1] == d[:, 0], bounds[:, 0], d[:, 1])
+    pair = np.where(d[:, 2:], d[:, :2], d[:, 1::-1])
+    return rows[(start[chosen, None] + pair).ravel()]
 
 
 def train(

@@ -579,6 +579,9 @@ def sizes(*refused):
     return (small | st.sampled_from(refused) if refused else small).map(str)
 
 
+# small seeds, negative ones the configs refuse, and one past 64 bits
+SEEDS = st.sampled_from(["-2", "-1", "0", "3", str(2**64)])
+
 # output names that end in a file name, and ones that do not; none is
 # nested, since every written path is read as a file
 PREFIXES = st.sampled_from(["f", "", ".", "..", "f/"])
@@ -588,7 +591,7 @@ ADVERSARIAL_COMMANDS = {
     "gen-data": (
         dict(classes=3, per_class=3, dim=3, spread=0.5, out="g.csv"),
         dict(classes=sizes(2**40), per_class=sizes(2**40),
-             dim=sizes(2**40), spread=REALS, seed=sizes(),
+             dim=sizes(2**40), spread=REALS, seed=SEEDS,
              out=st.sampled_from(["g.csv", "g", "g/", ".csv"])),
     ),
     "simulate": (
@@ -611,7 +614,7 @@ ADVERSARIAL_COMMANDS = {
              grad_mode=st.sampled_from(["post", "through"]),
              lr=REALS, margin=REALS, epochs=sizes(MAX_EPOCHS + 1, 10**12),
              classes_per_batch=sizes(), embed_dim=sizes(1025, 10**9),
-             seed=sizes(), snapshot_every=sizes(),
+             seed=SEEDS, snapshot_every=sizes(),
              batches_per_epoch=sizes(MAX_BATCHES_PER_EPOCH + 1, 10**12),
              out_prefix=PREFIXES, **{"lambda": REALS}),
     ),
@@ -645,7 +648,8 @@ def small_dataset(tmp_path_factory):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(argv=adversarial_argv())
 def test_adversarial_flags_exit_cleanly(small_dataset, argv):
-    """NaN, +-inf, 1e308 and negative flag values: a documented exit code,
+    """NaN, +-inf, 1e308 and negative flag values: a documented exit code
+    (1 for a negative seed),
     no traceback and no warning, one error line on a refusal (which
     writes nothing), and no nan or inf token after an exit 0."""
     argv = [arg.format(data=small_dataset) for arg in argv]
@@ -661,6 +665,8 @@ def test_adversarial_flags_exit_cleanly(small_dataset, argv):
         texts = {path.name: path.read_text() for path in written}
     err = stderr.getvalue().splitlines()
     assert code in (0, 1, 2, 3), (argv, code)
+    if any(arg.startswith("--seed=-") for arg in argv):
+        assert code == 1, (argv, code)  # refused when the config is built
     if code:
         assert len(err) == 1, (argv, err)
         assert re.match(r"tripletlab: \w+ error: ", err[0]), (argv, err)

@@ -11,7 +11,6 @@ from tripletlab.geometry import (
     gamma,
     s_pn_from,
 )
-from tripletlab.losses import _cosines
 
 from conftest import random_unit, triplet_vectors
 
@@ -22,8 +21,10 @@ def random_triplet(rng, dim):
 
 
 def coords_of(f_a, f_p, f_n):
-    """Diagram points of (k, d) rows of anchors, positives and negatives."""
-    return TripletCoord(_cosines(f_a, f_p), _cosines(f_a, f_n))
+    """Diagram points of (k, d) rows of anchors, positives and negatives,
+    from each triplet's explicit dot products."""
+    return TripletCoord(np.array([a @ p for a, p in zip(f_a, f_p)]),
+                        np.array([a @ n for a, n in zip(f_a, f_n)]))
 
 
 def gamma_of(f_a, f_p, f_n):
@@ -78,29 +79,6 @@ class TestUnitRows:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateVectorError):
                 geometry.unit_rows(rows)
-
-
-class TestCosine:
-    def test_identity(self, rng):
-        u = random_unit(rng, 5)[None]
-        assert _cosines(u, u)[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_antipode(self, rng):
-        u = random_unit(rng, 5)[None]
-        assert _cosines(u, -u)[0] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_orthogonality(self):
-        u, v = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-        assert _cosines(u, v)[0] == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            _cosines(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
-
-    def test_clamped_to_range(self):
-        # deliberately drift the norm just above 1
-        u = np.array([[1.0 + 1e-12, 0.0]])
-        assert _cosines(u, u)[0] == 1.0
 
 
 class TestCoordOf:

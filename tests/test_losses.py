@@ -40,9 +40,10 @@ def grad_at(s_ap, s_an, spec):
 
 
 def grads_of(f_a, f_p, f_n, spec):
-    """batch_feature_grads of one triplet's vectors (k = 1 rows)."""
-    g_a, g_p, g_n = batch_feature_grads(f_a[None], f_p[None], f_n[None], spec)
-    return g_a[0], g_p[0], g_n[0]
+    """batch_feature_grads of one triplet's vectors (k = 1) at the diagram
+    point of its explicit dot products: g_a, g_p and g_n as (3, d) rows."""
+    coord = point(f_a @ f_p, f_a @ f_n)
+    return batch_feature_grads(coord, np.array([[f_a, f_p, f_n]]), spec)[0]
 
 
 def fd_coord(fn, coord, step=FD_STEP):
@@ -239,7 +240,7 @@ class TestFeatureGrads:
                 return max(float(d), 0.0)
             return float(np.logaddexp(0.0, s_an - s_ap))
 
-        kept = []
+        kept, coords = [], []
         while len(kept) < 60:
             vecs = [random_unit(rng, 4) for _ in range(3)]
             coord = TripletCoord(
@@ -250,10 +251,12 @@ class TestFeatureGrads:
             if abs(hinge_argument(coord, spec.margin)) < 1e-2:
                 continue
             kept.append(vecs)
+            coords.append(coord)
         # one batched call: row i holds triplet i's gradients
-        grads = batch_feature_grads(*np.array(kept).transpose(1, 0, 2), spec)
+        grads = batch_feature_grads(TripletCoord(*np.array(coords).T),
+                                    np.array(kept), spec)
         for i, vecs in enumerate(kept):
-            for which, analytic in enumerate(g[i] for g in grads):
+            for which, analytic in enumerate(grads[i]):
                 for axis in range(4):
                     bumped = [v.copy() for v in vecs]
                     bumped[which][axis] += FD_STEP

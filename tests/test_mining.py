@@ -253,6 +253,21 @@ class TestMine:
             if any_feasible:
                 assert sims[t.anchor, t.negative] < sims[t.anchor, t.positive]
 
+    @pytest.mark.parametrize("emb, coord", [
+        ([[1.0 + 1e-12, 0.0]] * 2 + [[-1.0 - 1e-12, 0.0]] * 2, (1.0, -1.0)),
+        ([[1.0, 0.0]] * 2 + [[0.0, 1.0]] * 2, (1.0, 0.0)),
+    ], ids=["duplicate_and_antipode", "orthogonal"])
+    def test_mined_coordinates_are_exact(self, emb, coord):
+        """A duplicated point measures s_ap == 1.0 and its antipode
+        s_an == -1.0 exactly, with norms drifted just above 1: mining
+        clamps its products, and the SGD step reads these coordinates.
+        Orthogonal points measure 0.0."""
+        batch = Batch(embeddings=emb, labels=[0, 0, 1, 1])
+        triplets = mine(batch, MiningStrategy.HARD_NEGATIVE, seed=0)
+        assert len(triplets) == 4
+        assert (triplets.s_ap == coord[0]).all()
+        assert (triplets.s_an == coord[1]).all()
+
     def test_coord_matches_matrix(self, rng):
         batch = random_batch(rng, 16)
         sims = clipped_sims(batch)

@@ -28,7 +28,7 @@ EXPORTED = {
     "DegenerateVectorError", "TripletCoord", "UndefinedGammaError", "gamma",
     "s_pn_from",
     # losses
-    "CoordGrad", "FeatureGrads", "LossKind", "LossSpec",
+    "CoordGrad", "LossKind", "LossSpec",
     "batch_feature_grads", "coord_grads", "is_hard", "loss_values",
     # mining
     "Batch", "MinedTriplet", "MiningStrategy", "Triplets", "mine",
@@ -45,7 +45,7 @@ DELETED = {
     "loss_value", "nca_loss", "margin_loss", "sct_loss", "coord_grad",
     "feature_grads", "TripletFeatures", "coord_of", "normalize", "cosine",
     "similarity_matrix", "hard_fraction", "step_nca", "step_margin",
-    "GridSpec", "NoNegativesError",
+    "GridSpec", "NoNegativesError", "FeatureGrads", "_cosines",
 }
 
 # every setting, each one set by the CLI or the benchmark harness
@@ -66,6 +66,7 @@ PARAMETERS = {
     svg.line_chart: ["series", "title"],
     svg.diagram_scatter: ["s_ap", "s_an", "hard", "title"],
     svg.trajectory_path: ["s_ap", "s_an", "title"],
+    tripletlab.batch_feature_grads: ["coords", "feats", "spec"],
     tripletlab.embed: ["params", "xs"],
     tripletlab.backward: ["inputs", "feats", "norms", "triplets", "loss",
                           "grad_mode"],

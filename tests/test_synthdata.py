@@ -81,6 +81,9 @@ class TestGenerate:
         for spread in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 DatasetConfig(4, 4, 8, spread, 0)
+        for seed in (-3, 1.5, "0"):
+            with pytest.raises(ValueError, match="seed"):
+                DatasetConfig(4, 4, 8, 0.5, seed)
         # refused before anything is allocated
         with pytest.raises(ValueError, match=str(MAX_CELLS)):
             DatasetConfig(4, 4, MAX_CELLS // 16 + 1, 0.5, 0)

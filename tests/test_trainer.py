@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletlab.geometry import TripletCoord
-from tripletlab.losses import LossKind, LossSpec, loss_values
-from tripletlab.mining import MinedTriplet, MiningStrategy
+from tripletlab.losses import (
+    LossKind,
+    LossSpec,
+    batch_feature_grads,
+    loss_values,
+)
+from tripletlab.mining import MinedTriplet, MiningStrategy, Triplets
 from tripletlab.synthdata import DatasetConfig, generate
 from tripletlab.trainer import (
     MAX_EMBED_DIM,
@@ -79,15 +84,13 @@ class TestForward:
 
 
 class TestBackward:
-    def fixed_triplets(self):
-        # labels [0,0,1,1,2,2]; coords filled in by mining normally but the
-        # gradient path only needs the indices
-        dummy = TripletCoord(0.0, 0.0)
+    def fixed_triplets(self, feats):
+        """Triplets of labels [0,0,1,1,2,2] at the coordinates of their
+        explicit dot products: the gradient is taken at the given point."""
         return triplets_of([
-            MinedTriplet(0, 1, 2, dummy),
-            MinedTriplet(2, 3, 4, dummy),
-            MinedTriplet(4, 5, 0, dummy),
-            MinedTriplet(1, 0, 5, dummy),
+            MinedTriplet(a, p, n, TripletCoord(float(feats[a] @ feats[p]),
+                                               float(feats[a] @ feats[n])))
+            for a, p, n in [(0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 0, 5)]
         ])
 
     @pytest.mark.parametrize(
@@ -102,11 +105,10 @@ class TestBackward:
     def test_through_mode_matches_finite_differences(self, spec, rng):
         xs = np.stack([random_unit(rng, 4) for _ in range(6)])
         weight = rng.standard_normal((4, 3))
-        triplets = self.fixed_triplets()
-        grad = backward(
-            xs, *embed(ModelParams(weight=weight), xs), triplets, spec,
-            GradMode.THROUGH_NORMALIZATION,
-        )
+        feats, norms = embed(ModelParams(weight=weight), xs)
+        triplets = self.fixed_triplets(feats)
+        grad = backward(xs, feats, norms, triplets, spec,
+                        GradMode.THROUGH_NORMALIZATION)
         for i in range(4):
             for j in range(3):
                 bumped = weight.copy()
@@ -170,6 +172,53 @@ class TestBackward:
             assert np.allclose(
                 diff, f * (f @ diff), atol=1e-12
             )
+
+
+def add_at_backward(inputs, feats, norms, triplets, loss, grad_mode):
+    """Oracle: backward as it was before its per-row sums moved to
+    np.bincount, with the np.add.at call into zeros."""
+    t = triplets
+    xs = np.asarray(inputs, dtype=np.float64)
+    if not t:
+        return np.zeros((xs.shape[1], feats.shape[1]))
+    rows = np.column_stack([t.anchor, t.positive, t.negative])
+    grads = batch_feature_grads(t, feats[rows], loss)
+    grad_feat = np.zeros_like(feats)
+    np.add.at(grad_feat, rows.ravel(),
+              (1.0 / len(t)) * grads.reshape(rows.size, -1))
+    if grad_mode == GradMode.THROUGH_NORMALIZATION:
+        radial = np.sum(grad_feat * feats, axis=1, keepdims=True)
+        grad_z = (grad_feat - feats * radial) / norms
+    else:
+        grad_z = grad_feat
+    return xs.T @ grad_z
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 10), d=st.integers(1, 5), k=st.integers(0, 24),
+       kind=st.sampled_from(list(LossKind)),
+       grad_mode=st.sampled_from(list(GradMode)),
+       seed=st.integers(0, 2**32 - 1))
+def test_backward_sums_rows_as_add_at(n, d, k, kind, grad_mode, seed):
+    """backward's gradient has the bits of the np.add.at oracle: rows named
+    by several triplets and roles, rows no triplet names (those from
+    `named` on), -0.0 terms (a zero feature entry under a negative weight,
+    or a negative entry under a zero weight such as an inactive hinge's)
+    and k = 0. Half the coordinates sit on a grid that holds the hard and
+    hinge boundaries."""
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
+    norms = rng.uniform(0.5, 2.0, (n, 1))
+    xs = rng.standard_normal((n, 3))
+    named = int(rng.integers(1, n + 1))
+    grid = rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0], (2, k))
+    coords = np.where(rng.random((2, k)) < 0.5, grid,
+                      rng.uniform(-1.0, 1.0, (2, k)))
+    triplets = Triplets(*rng.integers(0, named, (3, k)), *coords)
+    spec = LossSpec(kind=kind, margin=0.5)
+    got = backward(xs, feats, norms, triplets, spec, grad_mode)
+    want = add_at_backward(xs, feats, norms, triplets, spec, grad_mode)
+    assert got.tobytes() == want.tobytes()
 
 
 def class_index(labels):
@@ -321,6 +370,30 @@ class TestTrain:
                           learning_rate=0.1, epochs=1, seed=0)
         with pytest.raises(ValueError, match="fewer classes"):
             train(ds, cfg)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_seed_validation(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("easy, drawn", [("ephn", "hn"),
+                                             ("ep", "random")])
+    def test_easy_positive_trains_as_drawn_positive(self, easy, drawn,
+                                                    kind):
+        """A training batch holds two members of each class, so every
+        anchor has one positive: the easiest is the one a draw picks, and
+        a draw over one value consumes nothing. So ephn trains bit for bit
+        as hn, and ep as random."""
+        ds = small_dataset()
+        (a, logs_a), (b, logs_b) = (
+            train(ds, TrainConfig(loss=LossSpec(kind=kind),
+                                  strategy=MiningStrategy(strategy),
+                                  **self.CFG))
+            for strategy in (easy, drawn)
+        )
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert logs_a == logs_b
 
     def test_scale_invariant_init_dimensions(self):
         params = init_params(input_dim=10, embed_dim=5, seed=0)
