@@ -11,6 +11,7 @@ from tripletlab.geometry import (
     gamma,
     s_pn_from,
 )
+from tripletlab.mining import Batch, MiningStrategy, mine
 
 from conftest import random_unit, triplet_vectors
 
@@ -79,6 +80,33 @@ class TestUnitRows:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateVectorError):
                 geometry.unit_rows(rows)
+
+
+def mined_coords(emb):
+    """Diagram points that hn mining measures on a batch of two pairs,
+    the cosines that the SGD step reads."""
+    triplets = mine(Batch(embeddings=emb, labels=[0, 0, 1, 1]),
+                    MiningStrategy.HARD_NEGATIVE, seed=0)
+    assert len(triplets) == 4
+    return triplets
+
+
+class TestCosine:
+    def test_identity(self, rng):
+        u, v = random_unit(rng, 5), random_unit(rng, 5)
+        triplets = mined_coords([u, u, v, v])
+        assert triplets.s_ap == pytest.approx(np.ones(4), abs=1e-12)
+
+    def test_antipode(self, rng):
+        u = random_unit(rng, 5)
+        triplets = mined_coords([u, u, -u, -u])
+        assert triplets.s_an == pytest.approx(-np.ones(4), abs=1e-12)
+
+    def test_clamped_to_range(self):
+        # deliberately drift the norm just above 1
+        u = [1.0 + 1e-12, 0.0]
+        triplets = mined_coords([u, u, [0.0, 1.0], [0.0, 1.0]])
+        assert (triplets.s_ap == 1.0).all()
 
 
 class TestCoordOf:
