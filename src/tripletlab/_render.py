@@ -5,11 +5,12 @@ A template is text with ``%.2f``, ``%.12g`` and ``%d`` slots. ``_blocks``,
 the module's one entry, fills rows of templates from whole columns,
 ``_BLOCK_ROWS`` rows at a time, and yields each block as the bytes
 ``template % row`` gives; the CSV writer and the SVG charts pass those
-bytes on to their files as they are. Each slot's encoder builds every
-value of its column as a fixed-width slot of bytes, with ``_PAD`` bytes
-wherever the text is shorter; a block's rows are laid out with the
-template literals, and the block's pad bytes are dropped at once. A value
-that an encoder cannot prove it prints right is printed by ``%`` itself:
+bytes on to their files as they are. Two encoders, ``_fixed2`` and
+``_general12``, build every value of a slot's column as a fixed-width slot
+of bytes, with ``_PAD`` bytes wherever the text is shorter; a block's rows
+are laid out with the template literals, and the block's pad bytes are
+dropped at once. A value that an encoder cannot prove it prints right is
+printed by ``%`` itself:
 
 - ``%.2f``: rint(|v|·100) from byte tables; ``%`` when |v|·100 lies within
   1e-6 of a half (exact ties such as 0.125 included), or |v| ≥ 9999.995
@@ -19,7 +20,9 @@ that an encoder cannot prove it prints right is printed by ``%`` itself:
   for a printed exponent X in [−4, 12), ``e±XX`` otherwise, trailing zeros
   dropped); ``%`` for inf, nan, |e| > 290 (subnormals included) and a
   scaled value within 1e-3 of a half.
-- ``%d``: every int, uint and bool value from byte tables; never ``%``.
+- ``%d``: an int, uint or bool value through the ``%.12g`` tables below
+  10^12 in magnitude, where its float64 is exact and prints the same text;
+  ``%`` above.
 """
 
 from __future__ import annotations
@@ -42,29 +45,26 @@ _ZERO_TO_NINE = np.arange(10, dtype=np.uint8) + ord("0")
 _EXP_LIMIT = 290
 
 
-def _word_tables() -> tuple[np.ndarray, np.ndarray]:
+def _word_tables(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """"%.2f" of q / 100 for an integer q < 10**6 is the little-endian
     8-byte word ints[q // 100] | cents[q % 100] | sign: the integer part
     right-aligned in bytes 1-4, then ".cc" in bytes 5-7; byte 0 is left
-    for the sign. Built from uint8 digit runs: building them from 10,000
+    for the sign. Built from the digit rows: building them from 10,000
     Python bytes objects left the process 1 MB larger."""
-    digits = _ZERO_TO_NINE
     ints = np.full((10_000, 8), _PAD, np.uint8)
-    for col, place in zip(range(1, 5), (1000, 100, 10, 1)):
-        ints[:, col] = np.tile(np.repeat(digits, place), 1000 // place)
+    ints[:, 1:5] = digits
     for col, place in zip(range(1, 4), (1000, 100, 10)):
         ints[:place, col] = _PAD  # leading zeros
     cents = np.full((100, 8), _PAD, np.uint8)
     cents[:, 5] = _DOT
-    cents[:, 6], cents[:, 7] = np.repeat(digits, 10), np.tile(digits, 10)
+    cents[:, 6:] = digits[:100, 2:]
     return ints.view("<u8").ravel(), cents.view("<u8").ravel()
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables by a group w < 10**4 of four digits:
+def _digit_tables(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For %.12g, by a group w < 10**4 of four digits:
 
-    - for %d, a uint32 per w: its four digits, zero-filled;
-    - for %.12g, ten variants of a little-endian 8-byte word per w, at row
+    - ten variants of a little-endian 8-byte word per w, at row
       v * 10**4 + w: v = 0 the four digits; v = 1 the four with trailing
       zeros dropped; v = 2-5 the four with a point after digit v - 1;
       v = 6-9 the four with a point after digit v - 5, the trailing zeros
@@ -74,9 +74,6 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       all of them) and the last t words are all zeros; only a word with no
       nonzero digit after it drops zeros.
     """
-    digits = np.column_stack([np.tile(np.repeat(_ZERO_TO_NINE, place),
-                                      1000 // place)
-                              for place in (1000, 100, 10, 1)])
     # zeros[:, c]: digits c to 3 are all zeros
     zeros = np.ones((10_000, 5), bool)
     zeros[:, :4] = np.logical_and.accumulate(digits[:, ::-1] == ord("0"),
@@ -98,8 +95,7 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             variants[i, f, t] = 1 if tail else 0
         elif j <= 4:
             variants[i, f, t] = j + 5 if tail else j + 1
-    return (digits.view(np.uint32).ravel(), words.view("<u8").ravel(),
-            variants.reshape(3, -1) * 10_000.0)
+    return words.view("<u8").ravel(), variants.reshape(3, -1) * 10_000.0
 
 
 def _exponent_tables():
@@ -137,9 +133,13 @@ def _exponent_tables():
             np.frombuffer(suffix, "<u8"))
 
 
-_INTS, _CENTS = _word_tables()
+# row w: the four digits of w < 10**4, zero-filled, as ASCII bytes
+_DIGITS = np.column_stack([np.tile(np.repeat(_ZERO_TO_NINE, place),
+                                   1000 // place)
+                           for place in (1000, 100, 10, 1)])
+_INTS, _CENTS = _word_tables(_DIGITS)
 _MINUS = np.uint64(ord("-"))
-_DIGITS, _WORDS, _VARIANTS = _digit_tables()
+_WORDS, _VARIANTS = _digit_tables(_DIGITS)
 (_TENS, _EXPS, _SCALES, _FITS, _FIRST, _PREFIX,
  _SUFFIX) = _exponent_tables()
 
@@ -283,23 +283,10 @@ def _general12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integer(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``"%d" % v`` of every int, uint or bool value in 21-byte slots
-    (sign, 20 digits with leading zeros as pads); always right."""
-    values = np.asarray(values)
-    negative = values < 0
-    mag = values.astype(np.uint64)
-    mag = np.where(negative, -mag, mag)  # |v| modulo 2**64: int64 min too
-    words = []
-    for _ in range(5):
-        mag, w = np.divmod(mag, np.uint64(10_000))
-        words.append(_DIGITS[w.astype(np.intp)])
-    digits = np.stack(words[::-1], axis=-1).view(np.uint8)
-    led = np.logical_or.accumulate(digits != ord("0"), axis=1)
-    led[:, -1] = True
-    digits[~led] = _PAD
-    sign = np.where(negative, ord("-"), _PAD).astype(np.uint8)
-    return (np.concatenate([sign[:, None], digits], axis=1),
-            np.ones(len(values), bool))
+    """``"%d" % v`` of every int, uint or bool value through _general12:
+    below 10**12 in magnitude v is a float64 whose "%.12g" is its "%d"."""
+    slots, exact = _general12(values.astype(np.float64))
+    return slots, exact & (values > -10**12) & (values < 10**12)
 
 
 _ENCODERS = {"%.2f": _fixed2, "%.12g": _general12, "%d": _integer}

@@ -28,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,8 @@ from .synthdata import (
     save,
     write_table,
 )
-from .trainer import GradMode, ModelParams, TrainConfig, embed, train
+from .trainer import (EpochLog, GradMode, ModelParams, TrainConfig, embed,
+                      train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,8 +197,7 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
         batches_per_epoch=cfg["batches_per_epoch"],
     )
     params, logs = train(load(arts.in_base / cfg["data"]), config)
-    columns = ["epoch", "mean_loss", "hard_fraction", "recall_at_1",
-               "collapse"]
+    columns = [f.name for f in fields(EpochLog) if f.name != "snapshot"]
     records = [{"epoch": log.epoch} | {c: float(FLOAT_FMT % getattr(log, c))
                                        for c in columns[1:]} for log in logs]
     arts.path("epochs_json", ".epochs.json").write_text(

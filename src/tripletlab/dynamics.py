@@ -52,6 +52,8 @@ import numpy as np
 from .geometry import (
     DegenerateVectorError,
     TripletCoord,
+    check_amount,
+    check_count,
     elementwise,
     s_pn_from,
 )
@@ -81,12 +83,10 @@ class StepParams:
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError("learning_rate must be finite and >= 0")
+        check_amount("learning_rate", self.learning_rate)
         if not abs(self.gamma) <= 1.0:  # also refuses NaN
             raise ValueError("gamma must be finite and lie in [-1, 1]")
-        if not (np.isfinite(self.entanglement_p) and self.entanglement_p >= 0):
-            raise ValueError("entanglement_p must be finite and >= 0")
+        check_amount("entanglement_p", self.entanglement_p)
         if self.loss.kind == LossKind.SCT:
             raise ValueError("diagram-space dynamics are defined for the nca "
                              "and margin losses")
@@ -190,9 +190,8 @@ def vector_field(resolution: int, params: StepParams) -> VectorField:
     """Evaluate the single-step deltas on a resolution x resolution grid
     over the diagram square [-1, 1]^2; a non-finite delta (the step
     overflows or zeroes a feature) raises DegenerateVectorError."""
+    check_count("resolution", resolution, 2, MAX_RESOLUTION)
     r = resolution
-    if not 2 <= r <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
     values = np.linspace(-1.0, 1.0, r)
     s_ap = np.repeat(values, r)
     s_an = np.tile(values, r)
@@ -221,8 +220,7 @@ def trajectory(
     """
     if not (-1.0 <= start.s_ap <= 1.0 and -1.0 <= start.s_an <= 1.0):
         raise ValueError("trajectory start must lie in [-1, 1]^2")
-    if not 1 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must lie in [1, {MAX_STEPS}]")
+    check_count("steps", steps, 1, MAX_STEPS)
     coord = TripletCoord(float(start.s_ap), float(start.s_an))
     points = [coord]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

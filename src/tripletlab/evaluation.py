@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import check_count
 from .mining import Batch, MiningStrategy, Triplets, _row_blocks, mine
 
 
@@ -35,8 +36,7 @@ def recall_at_k(
     With exclude_self the query and gallery sets must be the same points
     in the same order; entry i of the gallery is masked out for query i.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k, 1)
     n_q = len(queries)
     n_g = len(gallery)
     if exclude_self:

@@ -25,6 +25,21 @@ class UndefinedGammaError(ValueError):
     """Raised when gamma is requested for a triplet with a colinear pair."""
 
 
+def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Refuse with ValueError a size or seed that is not an int or numpy
+    integer (a bool is not) in [lo, hi], or at least lo when hi is None."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < lo or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_amount(name: str, value) -> None:
+    """Refuse with ValueError a value that is not finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows / norms, norms): each row on the unit sphere, and the norms
     as an (n, 1) column. A norm that is not finite (it overflowed) or at

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord, elementwise
+from .geometry import TripletCoord, check_amount, elementwise
 
 
 class LossKind(str, Enum):
@@ -48,12 +48,8 @@ class LossSpec:
     margin: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not np.isfinite(self.margin) or self.margin < 0:
-            raise ValueError(
-                f"margin must be finite and >= 0, got {self.margin}"
-            )
+        check_amount("lam", self.lam)
+        check_amount("margin", self.margin)
 
 
 class CoordGrad(NamedTuple):

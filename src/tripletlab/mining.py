@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import TripletCoord
+from .geometry import TripletCoord, check_count
 
 # query rows per similarity block: products and temporaries stay
 # _BLOCK_ROWS x n and no n x n array is built. Up to _BLOCK_ROWS rows are
@@ -139,8 +139,7 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     is checked either way: a negative or non-integer one is refused.
     """
     strategy = MiningStrategy(strategy)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("expected non-negative integer")
+    check_count("seed", seed, 0)
     labels = batch.labels
     ordered = np.sort(labels)
     # each item's class size: the span of its label in the sorted labels

@@ -13,7 +13,8 @@ Its cells are written by the renderer that writes every SVG number,
 ``_render``: ``%.12g`` cells from digit tables, with ``"%.12g" %`` for
 inf, nan, a decimal exponent beyond +-290 (subnormals included) and a
 value whose 12-digit scaling lies within 1e-3 of a half; ``%d`` cells
-(int, uint and bool columns) from digit tables alone.
+(int, uint and bool columns) through the same ``%.12g`` tables below
+10^12 in magnitude, by ``"%d" %`` above.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from ._render import _blocks
-from .geometry import DegenerateVectorError, unit_rows
+from .geometry import (DegenerateVectorError, check_amount, check_count,
+                       unit_rows)
 
 FLOAT_FMT = "%.12g"
 # classes x per_class x input_dim, checked before anything is allocated
@@ -46,20 +48,15 @@ class DatasetConfig:
     seed: int
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.per_class < 2:
-            raise ValueError("per_class must be >= 2")
-        if self.input_dim < 2:
-            raise ValueError("input_dim must be >= 2")
+        check_count("num_classes", self.num_classes, 2)
+        check_count("per_class", self.per_class, 2)
+        check_count("input_dim", self.input_dim, 2)
         if self.num_classes * self.per_class * self.input_dim > MAX_CELLS:
             raise ValueError(
                 f"classes x per_class x input_dim must be <= {MAX_CELLS}"
             )
-        if not (np.isfinite(self.intra_spread) and self.intra_spread >= 0):
-            raise ValueError("intra_spread must be finite and >= 0")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_amount("intra_spread", self.intra_spread)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

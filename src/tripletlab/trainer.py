@@ -27,7 +27,8 @@ from enum import Enum
 import numpy as np
 
 from .evaluation import collapse_metric, recall_at_k
-from .geometry import DegenerateVectorError, unit_rows
+from .geometry import (DegenerateVectorError, check_amount, check_count,
+                       unit_rows)
 from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
 from .mining import Batch, MiningStrategy, Triplets, mine
 from .synthdata import DatasetParseError, LabeledDataset
@@ -84,23 +85,15 @@ class TrainConfig:
     batches_per_epoch: int | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("learning_rate must be finite and >= 0")
-        if not 1 <= self.epochs <= MAX_EPOCHS:
-            raise ValueError(f"epochs must lie in [1, {MAX_EPOCHS}]")
-        if self.classes_per_batch < 2:
-            raise ValueError("classes_per_batch must be >= 2")
-        if not 2 <= self.embed_dim <= MAX_EMBED_DIM:
-            raise ValueError(f"embed_dim must lie in [2, {MAX_EMBED_DIM}]")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.batches_per_epoch is not None and not (
-            1 <= self.batches_per_epoch <= MAX_BATCHES_PER_EPOCH
-        ):
-            raise ValueError("batches_per_epoch must lie in "
-                             f"[1, {MAX_BATCHES_PER_EPOCH}]")
+        check_amount("learning_rate", self.learning_rate)
+        check_count("epochs", self.epochs, 1, MAX_EPOCHS)
+        check_count("classes_per_batch", self.classes_per_batch, 2)
+        check_count("embed_dim", self.embed_dim, 2, MAX_EMBED_DIM)
+        check_count("snapshot_every", self.snapshot_every, 1)
+        check_count("seed", self.seed, 0)
+        if self.batches_per_epoch is not None:
+            check_count("batches_per_epoch", self.batches_per_epoch, 1,
+                        MAX_BATCHES_PER_EPOCH)
 
 
 @dataclass

@@ -162,7 +162,8 @@ class TestVectorField:
 
     def test_resolution_validation(self):
         params = StepParams(learning_rate=0.05, loss=NCA)
-        for resolution in (1, MAX_RESOLUTION + 1):
+        for resolution in (1, MAX_RESOLUTION + 1, 5.5, 3.0, True,
+                           float("nan")):
             with pytest.raises(ValueError, match="resolution"):
                 vector_field(resolution, params)
 
@@ -265,7 +266,7 @@ class TestTrajectory:
             assert -1.0 <= pt.s_an <= 1.0
 
     def test_steps_validation(self):
-        for steps in (0, MAX_STEPS + 1):
+        for steps in (0, MAX_STEPS + 1, 2.5, 3.0, True, float("nan")):
             with pytest.raises(ValueError, match="steps"):
                 trajectory(TripletCoord(0, 0), StepParams(learning_rate=0.1),
                            steps)
@@ -314,8 +315,11 @@ def test_array_step_equals_scalar_step_bit_for_bit(case):
     the square's corners included."""
     coords, params = case
     s_ap, s_an = np.array(coords).T
-    array_upd = step(TripletCoord(s_ap, s_an), params)
-    scalar_upd = [step(TripletCoord(*c), params) for c in coords]
+    # a zeroed feature (say at (1, 1), gamma = -1, lr = 2) gives numpy's
+    # nan, as in vector_field and trajectory: its bits are compared too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        array_upd = step(TripletCoord(s_ap, s_an), params)
+        scalar_upd = [step(TripletCoord(*c), params) for c in coords]
     for name, column in zip(array_upd._fields, array_upd):
         scalar = np.array([getattr(u, name) for u in scalar_upd])
         assert column.shape == scalar.shape

@@ -94,8 +94,9 @@ class TestRecallAtK:
 
     def test_validation(self, rng):
         q = random_labeled_batch(rng, 4)
-        with pytest.raises(ValueError):
-            recall_at_k(q, q, k=0)
+        for k in (0, 1.5, 2.0, True, float("nan")):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                recall_at_k(q, q, k=k)
         with pytest.raises(ValueError):
             recall_at_k(q, q, k=4, exclude_self=True)
 

@@ -194,13 +194,13 @@ class TestMine:
             assert len(mine(batch, strategy, seed=0)) == 0
         assert len(diagram_extract(batch)) == 0
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, float("nan")])
     @pytest.mark.parametrize("strategy", list(MiningStrategy))
     def test_bad_seed_refused_without_draws(self, strategy, seed):
         """A two-per-class batch draws no positive, and ephn draws
         nothing: the seed is refused all the same."""
         batch = Batch(embeddings=np.eye(4), labels=[0, 0, 1, 1])
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
             mine(batch, strategy, seed)
 
     def test_singleton_class_anchor_skipped(self):

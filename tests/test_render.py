@@ -76,6 +76,20 @@ def test_general_fast_path_covers_integers_zeros_and_exponents():
     assert not _render._general12(odd)[1].any()
 
 
+def test_integer_fast_path_stops_at_ten_to_the_twelfth():
+    """%d prints labels, row indices, flags and every value below 10**12
+    in magnitude from the tables; larger ones through "%"."""
+    covered = [np.arange(64), np.arange(4096), np.array([True, False]),
+               np.array([0, 1, 10**12 - 1], dtype=np.uint64),
+               np.array([10**12 - 1, -(10**12) + 1], dtype=np.int64)]
+    for values in covered:
+        assert _render._integer(values)[1].all()
+    odd = [np.array([10**12, -(10**12), -(2**63)], dtype=np.int64),
+           np.array([10**12, 2**64 - 1], dtype=np.uint64)]
+    for values in odd:
+        assert not _render._integer(values)[1].any()
+
+
 def test_integers_match_percent_at_every_edge():
     assert _texts("%d", INTS) == ["%d" % v for v in INTS.tolist()]
     top = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)

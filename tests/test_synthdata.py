@@ -78,10 +78,14 @@ class TestGenerate:
             DatasetConfig(1, 4, 8, 0.5, 0)
         with pytest.raises(ValueError):
             DatasetConfig(4, 1, 8, 0.5, 0)
+        for size in (2.5, 3.0, True, float("nan")):
+            for sizes in ((size, 4, 8), (4, size, 8), (4, 4, size)):
+                with pytest.raises(ValueError, match="must be an integer"):
+                    DatasetConfig(*sizes, 0.5, 0)
         for spread in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 DatasetConfig(4, 4, 8, spread, 0)
-        for seed in (-3, 1.5, "0"):
+        for seed in (-3, 1.5, "0", 2.5, True, float("nan")):
             with pytest.raises(ValueError, match="seed"):
                 DatasetConfig(4, 4, 8, 0.5, seed)
         # refused before anything is allocated

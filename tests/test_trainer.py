@@ -364,6 +364,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="embed_dim"):
             TrainConfig(embed_dim=dim)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, float("nan")])
+    @pytest.mark.parametrize("name", ["epochs", "classes_per_batch",
+                                      "embed_dim", "snapshot_every",
+                                      "batches_per_epoch"])
+    def test_sizes_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
     def test_too_few_classes_rejected(self):
         ds = small_dataset()
         cfg = TrainConfig(classes_per_batch=5, embed_dim=4,
@@ -371,7 +379,8 @@ class TestTrain:
         with pytest.raises(ValueError, match="fewer classes"):
             train(ds, cfg)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", 2.5, True,
+                                      float("nan")])
     def test_seed_validation(self, seed):
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=seed)
