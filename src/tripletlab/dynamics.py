@@ -55,6 +55,7 @@ from .geometry import (
     check_amount,
     check_count,
     elementwise,
+    is_real,
     s_pn_from,
 )
 from .losses import LossKind, LossSpec, hinge_argument, softmax_weight
@@ -84,7 +85,7 @@ class StepParams:
 
     def __post_init__(self):
         check_amount("learning_rate", self.learning_rate)
-        if not abs(self.gamma) <= 1.0:  # also refuses NaN
+        if not (is_real(self.gamma) and abs(self.gamma) <= 1.0):  # NaN too
             raise ValueError("gamma must be finite and lie in [-1, 1]")
         check_amount("entanglement_p", self.entanglement_p)
         if self.loss.kind == LossKind.SCT:
@@ -188,20 +189,17 @@ class VectorField:
 
 def vector_field(resolution: int, params: StepParams) -> VectorField:
     """Evaluate the single-step deltas on a resolution x resolution grid
-    over the diagram square [-1, 1]^2; a non-finite delta (the step
-    overflows or zeroes a feature) raises DegenerateVectorError."""
+    over the diagram square [-1, 1]^2, in one elementwise step of the
+    whole grid; a non-finite delta (the step overflows or zeroes a
+    feature) raises DegenerateVectorError."""
     check_count("resolution", resolution, 2, MAX_RESOLUTION)
-    r = resolution
-    values = np.linspace(-1.0, 1.0, r)
-    s_ap = np.repeat(values, r)
-    s_an = np.tile(values, r)
-    deltas = np.empty((4, r * r))
+    values = np.linspace(-1.0, 1.0, resolution)
+    s_ap = np.repeat(values, resolution)
+    s_an = np.tile(values, resolution)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(0, r * r, r):  # one s_ap row a call: small temporaries
-            upd = step(TripletCoord(s_ap[i:i + r], s_an[i:i + r]), params)
-            deltas[:, i:i + r] = (upd.d_sap, upd.d_san, upd.d_sap_total,
-                                  upd.d_san_total)
-    if not np.isfinite(deltas).all():
+        upd = step(TripletCoord(s_ap, s_an), params)
+    deltas = upd.d_sap, upd.d_san, upd.d_sap_total, upd.d_san_total
+    if not all(np.isfinite(delta).all() for delta in deltas):
         raise DegenerateVectorError("vector field is not finite: a step "
                                     "overflows or zeroes a feature")
     return VectorField(params, s_ap, s_an, *deltas)

@@ -34,9 +34,17 @@ def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """Whether value is an int, a float or a numpy integer or floating
+    scalar; a bool is not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def check_amount(name: str, value) -> None:
-    """Refuse with ValueError a value that is not finite and >= 0."""
-    if not (np.isfinite(value) and value >= 0):
+    """Refuse with ValueError a value that is not a real number (see
+    is_real), or is not finite and >= 0."""
+    if not (is_real(value) and np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletlab.dynamics import (
@@ -174,10 +174,13 @@ class TestVectorField:
                             loss=loss)
         field = vector_field(41, params)
         assert len(field) == 41 * 41
-        for i, (ap, an) in enumerate(zip(field.s_ap, field.s_an)):
-            upd = step(TripletCoord(float(ap), float(an)), params)
-            assert (field.d_sap[i], field.d_san[i], field.d_sap_total[i],
-                    field.d_san_total[i]) == upd[5:]
+        cells = np.array([field.d_sap, field.d_san, field.d_sap_total,
+                          field.d_san_total]).T
+        scalar = np.array([
+            step(TripletCoord(ap, an), params)[5:]
+            for ap, an in zip(field.s_ap.tolist(), field.s_an.tolist())])
+        # bit patterns, so a -0.0 cell does not pass for +0.0
+        assert np.array_equal(cells.view(np.uint64), scalar.view(np.uint64))
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -0.1), ("learning_rate", float("nan")),
@@ -186,6 +189,10 @@ class TestVectorField:
         ("gamma", float("-inf")),
         ("entanglement_p", -0.5), ("entanglement_p", float("nan")),
         ("entanglement_p", float("inf")),
+        ("learning_rate", True), ("learning_rate", "0.1"),
+        ("gamma", True), ("gamma", "1"),
+        pytest.param("gamma", np.bool_(False), id="gamma-np.bool_"),
+        ("entanglement_p", True), ("entanglement_p", "0.5"),
     ])
     def test_step_params_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -309,6 +316,10 @@ def _points_and_params(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_points_and_params())
+# the zeroed-feature point the comment below names, pinned: derandomized
+# draws move when the package's literals change
+@example(case=([(1.0, 1.0)], StepParams(learning_rate=2.0, gamma=-1.0,
+                                        loss=NCA)))
 def test_array_step_equals_scalar_step_bit_for_bit(case):
     """One step over coordinate arrays gives, bit for bit, each point's
     scalar step: nca and margin, inactive hinges, lr = 0, gamma = +-1 and
@@ -389,6 +400,12 @@ def _array_rollout(start, params, steps):
        learning_rate=st.floats(0.0, 2.0), gamma=_UNIT,
        entanglement_p=st.floats(0.0, 2.0), margin=st.floats(0.0, 1.0),
        steps=st.integers(1, 40))
+# a first step that zeroes a feature (the refusal branch), and one that
+# is clamped onto the corner (1, -1) and then steps off it
+@example(start=(1.0, 1.0), kind=LossKind.NCA, learning_rate=2.0, gamma=-1.0,
+         entanglement_p=0.0, margin=0.0, steps=1)
+@example(start=(0.99, -0.99), kind=LossKind.NCA, learning_rate=2.0,
+         gamma=1.0, entanglement_p=2.0, margin=0.0, steps=3)
 def test_trajectory_equals_array_rollout_bit_for_bit(
         start, kind, learning_rate, gamma, entanglement_p, margin, steps):
     """trajectory steps a point of Python floats; the same rollout on

@@ -116,6 +116,23 @@ class TestSctLoss:
         assert loss_at(0.0, 0.4, spec) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("value", [
+    -0.5, float("nan"), float("inf"), float("-inf"), True,
+    pytest.param(np.bool_(True), id="np.bool_"), "0.2", None])
+@pytest.mark.parametrize("name", ["lam", "margin"])
+def test_loss_spec_validation(name, value):
+    """lam and margin are finite real numbers >= 0: a bool, a string or
+    None is refused with ValueError, not numpy's TypeError."""
+    with pytest.raises(ValueError, match=name):
+        LossSpec(**{name: value})
+
+
+def test_loss_spec_accepts_python_and_numpy_numbers():
+    for value in (0, 2, 0.5, np.int64(3), np.uint8(1), np.float32(0.25),
+                  np.float64(1.5)):
+        assert LossSpec(lam=value, margin=value).margin == value
+
+
 def test_softmax_weight_is_elementwise():
     """Arrays give each point's scalar sigma, both branches' formulas,
     with no overflow far from the diagonal; a point gives a scalar."""

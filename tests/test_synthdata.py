@@ -82,8 +82,8 @@ class TestGenerate:
             for sizes in ((size, 4, 8), (4, size, 8), (4, 4, size)):
                 with pytest.raises(ValueError, match="must be an integer"):
                     DatasetConfig(*sizes, 0.5, 0)
-        for spread in (-0.5, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for spread in (-0.5, float("nan"), float("inf"), True, "0.5"):
+            with pytest.raises(ValueError, match="intra_spread"):
                 DatasetConfig(4, 4, 8, spread, 0)
         for seed in (-3, 1.5, "0", 2.5, True, float("nan")):
             with pytest.raises(ValueError, match="seed"):

@@ -354,7 +354,8 @@ class TestTrain:
             assert ds.labels[t.anchor] == ds.labels[t.positive]
             assert ds.labels[t.anchor] != ds.labels[t.negative]
 
-    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf"), True,
+                                    "0.1"])
     def test_learning_rate_validation(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
