@@ -37,7 +37,7 @@ from .dynamics import StepParams, step, trajectory, vector_field
 from .evaluation import diagram_extract
 from .geometry import DegenerateVectorError, TripletCoord, unit_rows
 from .losses import LossKind, LossSpec, is_hard
-from .mining import Batch, MiningStrategy
+from .mining import Batch, MiningStrategy, Triplets
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
 from .synthdata import (
     FLOAT_FMT,
@@ -70,8 +70,7 @@ def _basenames(cfg: dict) -> dict:
             for k, v in cfg.items()}
 
 
-def _triplet_columns(t) -> list[np.ndarray]:
-    return [t.anchor, t.positive, t.negative, t.s_ap, t.s_an]
+_TRIPLET_COLUMNS = [f.name for f in fields(Triplets)]
 
 
 class _Artifacts:
@@ -218,8 +217,8 @@ def run_train(cfg: dict, arts: _Artifacts) -> str:
         if log.snapshot is not None:
             write_table(arts.path(f"snap_{log.epoch:04d}",
                                   f".snap{log.epoch:04d}.csv"),
-                        ["anchor", "positive", "negative", "s_ap", "s_an"],
-                        _triplet_columns(log.snapshot))
+                        _TRIPLET_COLUMNS,
+                        [getattr(log.snapshot, c) for c in _TRIPLET_COLUMNS])
     final = logs[-1]
     return (
         f"trained {cfg['epochs']} epochs: recall@1={final.recall_at_1:.4f} "
@@ -243,8 +242,8 @@ def run_diagram(cfg: dict, arts: _Artifacts) -> str:
     triplets = diagram_extract(Batch(embeddings=feats, labels=dataset.labels))
     hard = is_hard(triplets)
     write_table(arts.path("diagram_csv", ".diagram.csv"),
-                ["anchor", "positive", "negative", "s_ap", "s_an", "hard"],
-                _triplet_columns(triplets) + [hard])
+                _TRIPLET_COLUMNS + ["hard"],
+                [getattr(triplets, c) for c in _TRIPLET_COLUMNS] + [hard])
     arts.path("diagram_svg", ".diagram.svg").write_bytes(diagram_scatter(
         triplets.s_ap, triplets.s_an, hard,
         "easiest-positive / hardest-negative diagram",

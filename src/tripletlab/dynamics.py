@@ -22,9 +22,9 @@ so the post-renormalization similarity deltas are
 
 The margin hinge has the analogous forms (beta enters the p' and n'
 mixing coefficients as well) with beta = 0, no motion, where the hinge
-argument is non-positive; the selective loss has no closed-form step, so
-StepParams refuses it. A scalar entanglement model couples the two deltas
-through shared network weights:
+argument is non-positive. The selective loss's step is not modelled yet
+(ROADMAP item 7), so StepParams refuses it. A scalar entanglement model
+couples the two deltas through shared network weights:
 
     d_sap_total = d_sap + p * q * d_san,   q = s_ap * s_an
     d_san_total = d_san + p * q * d_sap.
@@ -74,8 +74,8 @@ class StepParams:
     learning_rate * sigma for the softmax loss and 2 * learning_rate for
     the margin loss. gamma is the plane-projection factor treated as a
     free coordinate (1.0 = co-planar worst case). entanglement_p scales
-    the cross-coupling model. The loss is nca or margin: the selective
-    loss has no closed-form step.
+    the cross-coupling model. The loss is nca or margin: the lab does
+    not model the selective loss's step yet (ROADMAP item 7).
     """
 
     learning_rate: float
@@ -108,18 +108,24 @@ class SimilarityUpdate(NamedTuple):
     d_san_total: float
 
 
-def _closed_form(
-    coord: TripletCoord, params: StepParams, beta: float, shrink: float
-) -> SimilarityUpdate:
-    """The step that moves the features by
+def step(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
+    """One gradient step in diagram space under the configured loss,
+    moving the features by
 
         p' = (1 - shrink b) p + b a,   n' = (1 + shrink b) n - b a,
-        a' = a + b (p - n),
+        a' = a + b (p - n).
 
-    with shrink 0 for the softmax loss and 1 for the margin hinge, whose
-    squared-distance gradients carry p and n themselves as well as a.
-    beta = 0 leaves the point where it is.
-    """
+    For the softmax-ratio loss beta = lr * sigma and shrink = 0; for the
+    margin hinge, whose squared-distance gradients carry p and n
+    themselves as well as a, shrink = 1 and beta = 2 lr where the hinge
+    is active and 0 (the identity) where it is not. Elementwise: a coord
+    of floats gives one update, a coord of arrays the update of every
+    point, with the same bits."""
+    if params.loss.kind == LossKind.NCA:
+        beta, shrink = params.learning_rate * softmax_weight(coord), 0.0
+    else:
+        active = hinge_argument(coord, params.loss.margin) > 0.0
+        beta, shrink = 2.0 * params.learning_rate * active, 1.0
     ops = elementwise(coord)
     s_ap, s_an = coord
     gamma = params.gamma
@@ -149,26 +155,12 @@ def _closed_form(
         d_sap = s_ap_new / (norm_a * norm_p) - s_ap
         d_san = s_an_new / (norm_a * norm_n) - s_an
     except ZeroDivisionError:  # a zeroed feature: numpy's inf or nan
-        coord = TripletCoord(np.float64(s_ap), np.float64(s_an))
-        return _closed_form(coord, params, beta, shrink)
+        return step(TripletCoord(np.float64(s_ap), np.float64(s_an)), params)
     pq = params.entanglement_p * (s_ap * s_an)
     return SimilarityUpdate(
         s_ap_new, s_an_new, norm_a, norm_p, norm_n, d_sap, d_san,
         d_sap + pq * d_san, d_san + pq * d_sap,
     )
-
-
-def step(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
-    """One gradient step in diagram space under the configured loss:
-    beta = lr * sigma for the softmax-ratio loss, and for the margin
-    hinge beta = 2 lr where it is active and 0 (the identity) where it is
-    not. Elementwise: a coord of floats gives one update, a coord of
-    arrays the update of every point, with the same bits."""
-    if params.loss.kind == LossKind.NCA:
-        beta = params.learning_rate * softmax_weight(coord)
-        return _closed_form(coord, params, beta, 0.0)
-    active = hinge_argument(coord, params.loss.margin) > 0.0
-    return _closed_form(coord, params, 2.0 * params.learning_rate * active, 1.0)
 
 
 @dataclass(frozen=True)
@@ -213,18 +205,21 @@ def trajectory(
     Returns steps+1 points including the start; each step adds
     (d_sap_total, d_san_total) and clamps back into the diagram square,
     since the first-order deltas can overshoot at coarse learning rates.
-    The start must lie in the square. A non-finite delta (the step
-    overflows or zeroes a feature) raises DegenerateVectorError.
+    The start must be two real numbers (see geometry.is_real) in the
+    square. A non-finite delta (the step overflows or zeroes a feature)
+    raises DegenerateVectorError.
     """
-    if not (-1.0 <= start.s_ap <= 1.0 and -1.0 <= start.s_an <= 1.0):
-        raise ValueError("trajectory start must lie in [-1, 1]^2")
+    if not (is_real(start.s_ap) and is_real(start.s_an)
+            and -1.0 <= start.s_ap <= 1.0 and -1.0 <= start.s_an <= 1.0):
+        raise ValueError("trajectory start must be two real numbers in "
+                         f"[-1, 1]^2, got {tuple(start)!r}")
     check_count("steps", steps, 1, MAX_STEPS)
     coord = TripletCoord(float(start.s_ap), float(start.s_an))
     points = [coord]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(steps):
             upd = step(coord, params)
-            d_sap, d_san = float(upd.d_sap_total), float(upd.d_san_total)
+            d_sap, d_san = upd.d_sap_total, upd.d_san_total
             if not (math.isfinite(d_sap) and math.isfinite(d_san)):
                 raise DegenerateVectorError(
                     f"trajectory step {len(points)} is not finite: the "

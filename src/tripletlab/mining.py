@@ -41,7 +41,7 @@ class Batch:
         labels = np.asarray(self.labels)
         object.__setattr__(self, "embeddings", emb)
         object.__setattr__(self, "labels", labels)
-        if emb.ndim != 2 or emb.shape[0] != labels.shape[0]:
+        if emb.ndim != 2 or labels.ndim != 1 or len(emb) != len(labels):
             raise ValueError("embeddings and labels must be parallel arrays")
         if emb.shape[0] < 2:
             raise ValueError("a batch needs at least 2 items")

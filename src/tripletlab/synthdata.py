@@ -66,9 +66,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValueError("labels must be a 1-D int or uint array")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
         if points.ndim != 2 or points.shape[0] != labels.shape[0]:
             raise ValueError("points and labels must be parallel arrays")
 
@@ -111,7 +113,7 @@ def save(ds: LabeledDataset, path: str | Path) -> None:
 
 def write_table(path: str | Path, header: list[str], columns) -> None:
     """Write a header line, then one float, int or bool array per column;
-    the columns are checked before the file is opened."""
+    the header and columns are checked before the file is opened."""
     columns = [np.asarray(c) for c in columns]
     fmts = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}
     if not columns:
@@ -122,6 +124,8 @@ def write_table(path: str | Path, header: list[str], columns) -> None:
         raise ValueError("every column must be 1-D")
     if len({len(c) for c in columns}) > 1:
         raise ValueError("every column must have the same length")
+    if len(header) != len(columns):
+        raise ValueError("the header must name every column, and no more")
     template = ",".join(fmts[c.dtype.kind] for c in columns)
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())

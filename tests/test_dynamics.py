@@ -289,7 +289,8 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("start", [
         (1.5, 0.2), (0.2, -1.0000001), (float("nan"), 0.0),
-        (0.0, float("inf")),
+        (0.0, float("inf")), (True, 0.5), (0.2, "0.5"),
+        (np.array([0.5]), 0.2),
     ])
     def test_start_outside_square_refused(self, start):
         with pytest.raises(ValueError, match="start"):

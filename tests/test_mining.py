@@ -128,6 +128,13 @@ class TestBatch:
             with pytest.raises(ValueError, match="unit vectors"):
                 Batch(embeddings=[[1e200, 0.0], [0.0, 1.0]], labels=[0, 1])
 
+    @pytest.mark.parametrize("labels", [
+        np.array([[0], [0], [1], [1]]), np.array(0), None,
+    ], ids=["column", "0-D", "none"])
+    def test_labels_not_1d_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            Batch(embeddings=np.eye(4), labels=labels)
+
 
 def block_sims(batch):
     """The similarity rows of mining._row_blocks, stacked; each block must

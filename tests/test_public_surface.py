@@ -46,6 +46,7 @@ DELETED = {
     "feature_grads", "TripletFeatures", "coord_of", "normalize", "cosine",
     "similarity_matrix", "hard_fraction", "step_nca", "step_margin",
     "GridSpec", "NoNegativesError", "FeatureGrads", "_cosines",
+    "_closed_form",
 }
 
 # every setting, each one set by the CLI or the benchmark harness

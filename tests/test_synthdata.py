@@ -10,6 +10,7 @@ from tripletlab.synthdata import (
     MAX_CELLS,
     DatasetConfig,
     DatasetParseError,
+    LabeledDataset,
     generate,
     load,
     read_table,
@@ -306,3 +307,28 @@ def test_write_table_refuses_bad_columns_before_opening(tmp_path, columns):
     with pytest.raises(ValueError, match="column"):
         write_table(path, [f"c{j}" for j in range(len(columns))], columns)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("header", [["a"], ["a", "b", "c"], []])
+def test_write_table_refuses_header_of_other_width_before_opening(tmp_path,
+                                                                  header):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="header"):
+        write_table(path, header, [np.array([1.0]), np.array([2.0])])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([[0], [1]]), np.array(0), None, np.array([0.5, 1.5]),
+    np.array([0.0, 1.0]), np.array([True, False]), np.array(["0", "1"]),
+], ids=["2-D", "0-D", "none", "fractional", "float", "bool", "str"])
+def test_labeled_dataset_refuses_labels_not_1d_integers(labels):
+    with pytest.raises(ValueError, match="labels"):
+        LabeledDataset(points=np.eye(2), labels=labels)
+
+
+def test_labeled_dataset_takes_int_and_uint_labels_as_int64():
+    for labels in ([3, 1], np.array([3, 1], dtype=np.uint8)):
+        ds = LabeledDataset(points=np.eye(2), labels=labels)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [3, 1]
