@@ -7,10 +7,10 @@ the module's one entry, fills rows of templates from whole columns,
 ``template % row`` gives; the CSV writer and the SVG charts pass those
 bytes on to their files as they are. Two encoders, ``_fixed2`` and
 ``_general12``, build every value of a slot's column as a fixed-width slot
-of bytes, with ``_PAD`` bytes wherever the text is shorter; a block's rows
-are laid out with the template literals, and the block's pad bytes are
-dropped at once. A value that an encoder cannot prove it prints right is
-printed by ``%`` itself:
+of bytes, with ``_PAD`` bytes wherever the text is shorter; one
+``np.concatenate`` lays a template's literals and slots into its rows of
+a block, and the block's pad bytes are dropped at once. A value that an
+encoder cannot prove it prints right is printed by ``%`` itself:
 
 - ``%.2f``: rint(|v|·100) from byte tables; ``%`` when |v|·100 lies within
   1e-6 of a half (exact ties such as 0.125 included), or |v| ≥ 9999.995
@@ -153,51 +153,42 @@ def _blocks(templates: Sequence[str], columns, which=None,
     row."""
     which = (np.zeros(len(columns[0]), np.intp) if which is None
              else np.asarray(which, dtype=np.intp))
+    step = _BLOCK_ROWS
     pieces = []
     for template in templates:
         parts = _SLOT.split(template + sep)
-        pieces.append(([np.frombuffer(p.encode(), np.uint8)
-                        for p in parts[0::2]], parts[1::2]))
-    step = _BLOCK_ROWS
+        pieces.append(([np.broadcast_to(np.frombuffer(p.encode(), np.uint8),
+                                        (step, len(p))) for p in parts[0::2]],
+                       parts[1::2]))
     for lo in range(0, len(which), step):
         yield _block(pieces, [c[lo:lo + step] for c in columns],
                      which[lo:lo + step])
 
 
 def _block(pieces, columns, which: np.ndarray) -> bytearray:
-    """One block's rows."""
-    filled = []
+    """One block's rows: each template's row is its literals (broadcast
+    views of _BLOCK_ROWS rows) and slots, in order, laid by one
+    np.concatenate."""
+    laid = []
     for t, (literals, formats) in enumerate(pieces):
         rows = which == t if len(pieces) > 1 else slice(None)
         slots = _slots(formats, [np.asarray(c)[rows]
                                  for c in columns[:len(formats)]])
-        size = sum(map(len, literals)) + sum(s.shape[1] for s in slots)
-        filled.append((rows, literals, slots, size))
-    width = max(size for *_, size in filled)
+        n = len(which[rows])
+        cells = [literals[0][:n]]
+        for slot, literal in zip(slots, literals[1:]):
+            cells += [slot, literal[:n]]
+        laid.append((rows, cells, sum(c.shape[1] for c in cells)))
+    width = max(size for *_, size in laid)
     text = bytearray(len(which) * width)  # all pads: _PAD is 0
     out = np.frombuffer(text, np.uint8).reshape(len(which), width)
-    for rows, literals, slots, size in filled:
-        if len(filled) == 1:
-            _fill(out, literals, slots)
+    for rows, cells, size in laid:
+        if len(laid) == 1:
+            np.concatenate(cells, axis=1, out=out)
         else:  # a masked write per template, not per literal and slot
-            part = np.empty((np.count_nonzero(rows), size), np.uint8)
-            out[rows, :size] = _fill(part, literals, slots)
-    del filled, out  # the slots go before the padless copy is made
+            out[rows, :size] = np.concatenate(cells, axis=1)
+    del laid, out  # the slots go before the padless copy is made
     return text.translate(None, bytes([_PAD]))
-
-
-def _fill(out: np.ndarray, literals, slots: list[np.ndarray]) -> np.ndarray:
-    """out, with the literals and the slots between them laid into its
-    leading columns."""
-    at = 0
-    for j, literal in enumerate(literals):
-        if j:
-            width = slots[j - 1].shape[1]
-            out[:, at:at + width] = slots[j - 1]
-            at += width
-        out[:, at:at + len(literal)] = literal
-        at += len(literal)
-    return out
 
 
 def _slots(formats: list[str], columns) -> list[np.ndarray]:

@@ -36,8 +36,8 @@ import numpy as np
 from .dynamics import StepParams, step, trajectory, vector_field
 from .evaluation import diagram_extract
 from .geometry import DegenerateVectorError, TripletCoord, unit_rows
-from .losses import LossKind, LossSpec, is_hard
-from .mining import Batch, MiningStrategy, Triplets
+from .losses import LossSpec, is_hard
+from .mining import Batch, Triplets
 from .svg import diagram_scatter, field_quiver, line_chart, trajectory_path
 from .synthdata import (
     FLOAT_FMT,
@@ -49,8 +49,7 @@ from .synthdata import (
     save,
     write_table,
 )
-from .trainer import (EpochLog, GradMode, ModelParams, TrainConfig, embed,
-                      train)
+from .trainer import EpochLog, ModelParams, TrainConfig, embed, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,7 +139,7 @@ def _step_params(cfg: dict) -> StepParams:
         learning_rate=cfg["beta_scale"],
         gamma=cfg["gamma"],
         entanglement_p=cfg["p"],
-        loss=LossSpec(kind=LossKind(cfg["loss"]), margin=cfg["margin"]),
+        loss=LossSpec(kind=cfg["loss"], margin=cfg["margin"]),
     )
 
 
@@ -182,11 +181,9 @@ def run_trajectory(cfg: dict, arts: _Artifacts) -> str:
 
 def run_train(cfg: dict, arts: _Artifacts) -> str:
     config = TrainConfig(
-        loss=LossSpec(
-            kind=LossKind(cfg["loss"]), lam=cfg["lam"], margin=cfg["margin"]
-        ),
-        strategy=MiningStrategy(cfg["miner"]),
-        grad_mode=GradMode(cfg["grad_mode"]),
+        loss=LossSpec(kind=cfg["loss"], lam=cfg["lam"], margin=cfg["margin"]),
+        strategy=cfg["miner"],
+        grad_mode=cfg["grad_mode"],
         learning_rate=cfg["lr"],
         epochs=cfg["epochs"],
         classes_per_batch=cfg["classes_per_batch"],

@@ -88,6 +88,8 @@ class StepParams:
         if not (is_real(self.gamma) and abs(self.gamma) <= 1.0):  # NaN too
             raise ValueError("gamma must be finite and lie in [-1, 1]")
         check_amount("entanglement_p", self.entanglement_p)
+        if not isinstance(self.loss, LossSpec):
+            raise ValueError("loss must be a LossSpec")
         if self.loss.kind == LossKind.SCT:
             raise ValueError("diagram-space dynamics are defined for the nca "
                              "and margin losses")

@@ -41,6 +41,8 @@ class LossSpec:
 
     lam is the contrastive weight of the selective loss's hard branch and
     margin is the hinge offset of the margin loss (not the learning rate).
+    kind is taken through LossKind, so "nca" is LossKind.NCA and a name
+    that is no kind raises ValueError.
     """
 
     kind: LossKind = LossKind.NCA
@@ -48,6 +50,7 @@ class LossSpec:
     margin: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", LossKind(self.kind))
         check_amount("lam", self.lam)
         check_amount("margin", self.margin)
 

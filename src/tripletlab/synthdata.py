@@ -69,6 +69,8 @@ class LabeledDataset:
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.dtype.kind not in "iu":
             raise ValueError("labels must be a 1-D int or uint array")
+        if (labels > np.iinfo(np.int64).max).any():  # uint64 would wrap
+            raise ValueError("labels must fit int64")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels.astype(np.int64))
         if points.ndim != 2 or points.shape[0] != labels.shape[0]:

@@ -85,6 +85,10 @@ class TrainConfig:
     batches_per_epoch: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.loss, LossSpec):
+            raise ValueError("loss must be a LossSpec")
+        object.__setattr__(self, "strategy", MiningStrategy(self.strategy))
+        object.__setattr__(self, "grad_mode", GradMode(self.grad_mode))
         check_amount("learning_rate", self.learning_rate)
         check_count("epochs", self.epochs, 1, MAX_EPOCHS)
         check_count("classes_per_batch", self.classes_per_batch, 2)
@@ -139,6 +143,7 @@ def backward(inputs: np.ndarray, feats: np.ndarray, norms: np.ndarray,
     t = triplets
     xs = np.asarray(inputs, dtype=np.float64)
     n, d = feats.shape
+    through = GradMode(grad_mode) == GradMode.THROUGH_NORMALIZATION
     if not t:
         return np.zeros((xs.shape[1], d))
     rows = np.array((t.anchor, t.positive, t.negative)).T
@@ -146,7 +151,7 @@ def backward(inputs: np.ndarray, feats: np.ndarray, norms: np.ndarray,
     entries = rows[:, :, None] * d + np.arange(d)
     grad_feat = np.bincount(entries.ravel(), grads.ravel(),
                             minlength=n * d).reshape(n, d)
-    if grad_mode == GradMode.THROUGH_NORMALIZATION:
+    if through:
         radial = (grad_feat * feats).sum(axis=1, keepdims=True)
         grad_z = (grad_feat - feats * radial) / norms
     else:

@@ -198,6 +198,17 @@ class TestVectorField:
         with pytest.raises(ValueError, match=field):
             StepParams(**{"learning_rate": 0.1, field: value})
 
+    @pytest.mark.parametrize("loss", ["nca", None, LossKind.NCA],
+                             ids=["name", "none", "kind"])
+    def test_step_params_refuses_a_loss_that_is_no_loss_spec(self, loss):
+        with pytest.raises(ValueError, match="LossSpec"):
+            StepParams(0.1, loss=loss)
+
+    def test_step_params_refuses_a_kind_that_is_no_loss(self):
+        """Not stepped as the margin loss."""
+        with pytest.raises(ValueError, match="LossKind"):
+            StepParams(0.05, loss=LossSpec(kind="bogus"))
+
     def test_projection_kills_gradient_near_sap_one(self):
         """|d_sap| at s_ap > 0.99 stays under 1% of the field max."""
         field = vector_field(

@@ -127,6 +127,19 @@ def test_loss_spec_validation(name, value):
         LossSpec(**{name: value})
 
 
+@pytest.mark.parametrize("kind", ["SCT", "bogus", "", None, 1])
+def test_loss_spec_refuses_a_kind_that_is_no_loss(kind):
+    """A misspelt kind is refused, not run as the softmax-ratio loss."""
+    with pytest.raises(ValueError, match="LossKind"):
+        LossSpec(kind=kind)
+
+
+def test_loss_spec_takes_kind_names_as_members():
+    for kind in LossKind:
+        assert LossSpec(kind=kind.value).kind is kind
+    assert loss_values(TripletCoord(0.2, 0.8), LossSpec(kind="sct")) == 0.8
+
+
 def test_loss_spec_accepts_python_and_numpy_numbers():
     for value in (0, 2, 0.5, np.int64(3), np.uint8(1), np.float32(0.25),
                   np.float64(1.5)):

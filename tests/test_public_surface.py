@@ -46,7 +46,7 @@ DELETED = {
     "feature_grads", "TripletFeatures", "coord_of", "normalize", "cosine",
     "similarity_matrix", "hard_fraction", "step_nca", "step_margin",
     "GridSpec", "NoNegativesError", "FeatureGrads", "_cosines",
-    "_closed_form",
+    "_closed_form", "_fill",
 }
 
 # every setting, each one set by the CLI or the benchmark harness

@@ -148,3 +148,24 @@ def test_renderer_special_values_one_by_one():
             ("%.2f\n" % v).encode()]
     assert list(_render._blocks(["%.2f"], [SPECIAL])) == [
         "".join("%.2f\n" % v for v in SPECIAL).encode()]
+
+
+def test_blocks_lay_a_template_with_no_slot():
+    """A template with no slot next to one with a slot: its rows are
+    counted from which, not from a column."""
+    assert list(_render._blocks(["a", "b%d"], [np.array([1, 2])],
+                                np.array([0, 1]))) == [b"a\nb2\n"]
+
+
+@pytest.mark.parametrize("which", [[0, 0, 0], [1, 1, 1], [0, 0, 1],
+                                   [1, 1, 0]])
+def test_blocks_where_one_of_two_templates_has_no_row(which):
+    """Blocks of two rows, each holding one template's rows or both."""
+    templates = ["%.2f,%d", "<%.2f>"]
+    columns = [np.array([1.5, -2.25, 3.0]), np.array([7, 8, 9])]
+    texts = [(templates[w] + "\n") % tuple(c[i] for c in columns[:2 - w])
+             for i, w in enumerate(which)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_render, "_BLOCK_ROWS", 2)
+        blocks = list(_render._blocks(templates, columns, which))
+    assert blocks == ["".join(texts[:2]).encode(), texts[2].encode()]

@@ -321,14 +321,17 @@ def test_write_table_refuses_header_of_other_width_before_opening(tmp_path,
 @pytest.mark.parametrize("labels", [
     np.array([[0], [1]]), np.array(0), None, np.array([0.5, 1.5]),
     np.array([0.0, 1.0]), np.array([True, False]), np.array(["0", "1"]),
-], ids=["2-D", "0-D", "none", "fractional", "float", "bool", "str"])
+    np.array([2**63, 0], dtype=np.uint64),
+], ids=["2-D", "0-D", "none", "fractional", "float", "bool", "str",
+        "above-int64"])
 def test_labeled_dataset_refuses_labels_not_1d_integers(labels):
     with pytest.raises(ValueError, match="labels"):
         LabeledDataset(points=np.eye(2), labels=labels)
 
 
 def test_labeled_dataset_takes_int_and_uint_labels_as_int64():
-    for labels in ([3, 1], np.array([3, 1], dtype=np.uint8)):
+    for labels in ([3, 1], np.array([3, 1], dtype=np.uint8),
+                   np.array([2**63 - 1, 1], dtype=np.uint64)):
         ds = LabeledDataset(points=np.eye(2), labels=labels)
         assert ds.labels.dtype == np.int64
-        assert ds.labels.tolist() == [3, 1]
+        assert ds.labels.tolist() == [int(labels[0]), 1]

@@ -145,6 +145,16 @@ class TestBackward:
         assert grad.shape == (4, 3)
         assert not np.any(grad)
 
+    @pytest.mark.parametrize("mode", ["Through", "POST", None])
+    @pytest.mark.parametrize("empty", [False, True], ids=["triplets", "empty"])
+    def test_refuses_a_grad_mode_that_is_no_mode(self, mode, empty, rng):
+        """Not computed as post, with or without triplets."""
+        xs = np.stack([random_unit(rng, 4) for _ in range(6)])
+        feats, norms = embed(ModelParams(rng.standard_normal((4, 3))), xs)
+        triplets = triplets_of([]) if empty else self.fixed_triplets(feats)
+        with pytest.raises(ValueError, match="GradMode"):
+            backward(xs, feats, norms, triplets, LossSpec(), mode)
+
     def test_post_and_through_differ_by_radial_component(self):
         """With one-hot inputs and unit-norm weight rows, the parameter
         gradient rows are the per-item embedding gradients, and the through
@@ -372,6 +382,29 @@ class TestTrain:
     def test_sizes_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("strategy", "HN", "MiningStrategy"),
+        ("strategy", "hard", "MiningStrategy"),
+        ("strategy", None, "MiningStrategy"),
+        ("grad_mode", "Through", "GradMode"),
+        ("grad_mode", None, "GradMode"),
+    ])
+    def test_settings_of_the_wrong_kind_rejected(self, name, value, kind):
+        """A misspelt setting is refused, not trained as another one."""
+        with pytest.raises(ValueError, match=kind):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("loss", ["sct", None, LossKind.SCT],
+                             ids=["name", "none", "kind"])
+    def test_loss_that_is_no_loss_spec_rejected(self, loss):
+        with pytest.raises(ValueError, match="LossSpec"):
+            TrainConfig(loss=loss)
+
+    def test_setting_names_become_members(self):
+        cfg = TrainConfig(strategy="shn", grad_mode="post")
+        assert cfg.strategy is MiningStrategy.SEMI_HARD_NEGATIVE
+        assert cfg.grad_mode is GradMode.POST_PROJECTION
 
     def test_too_few_classes_rejected(self):
         ds = small_dataset()
