@@ -3,9 +3,12 @@
 Recall@K counts a query as a hit when at least one of its top-K gallery
 neighbors (by cosine, self excluded on request) shares the query label,
 ties ranking the lower gallery index first. Nothing is sorted: a query
-hits iff fewer than K items rank ahead of its best same-label item (the
-masked argmax, lowest index on ties), "ahead" meaning a larger
-similarity, or an equal one at a lower index.
+hits iff fewer than K items rank ahead of its best same-label item,
+"ahead" meaning a larger similarity, or an equal one at a lower index.
+Each row takes its best same-label similarity with one masked max and
+counts the strictly larger items; only a row that could still hit and
+holds another item equal to its best adds the ties below its best
+item's index (the lowest same-label one, as a masked argmax picks).
 
 Recall and the miner walk similarities in blocks of 256 query rows,
 never an n x n matrix (up to 256 points are one block, the bits of one
@@ -35,6 +38,9 @@ def recall_at_k(
 
     With exclude_self the query and gallery sets must be the same points
     in the same order; entry i of the gallery is masked out for query i.
+    Per row: the masked max of same-label similarities, the count of
+    items strictly above it and, in tied rows only, the equal items at a
+    lower index than the masked argmax.
     """
     check_count("k", k, 1)
     n_q = len(queries)
@@ -51,12 +57,16 @@ def recall_at_k(
         if exclude_self:  # query lo + r is gallery item lo + r
             np.fill_diagonal(block[:, lo:], -np.inf)
         same = queries.labels[lo:lo + len(block), None] == gallery.labels
-        masked = np.where(same, block, -np.inf)  # the excluded self is -inf
-        top = masked.argmax(axis=1)[:, None]
-        best = np.take_along_axis(masked, top, axis=1)  # -inf: no match
-        ahead = (block > best) | ((block == best) & (np.arange(n_g) < top))
-        hits += int(np.count_nonzero(np.isfinite(best[:, 0])
-                                     & (np.count_nonzero(ahead, axis=1) < k)))
+        # -inf: no match (the excluded self is -inf too)
+        best = np.max(block, axis=1, where=same, initial=-np.inf,
+                      keepdims=True)
+        ahead = (block > best).sum(axis=1, dtype=np.int32)
+        tie = block == best
+        tied = ((ahead < k) & (tie.sum(axis=1, dtype=np.int32) > 1)).nonzero()
+        top = (tie[tied] & same[tied]).argmax(axis=1)[:, None]
+        ahead[tied] += (tie[tied] & (np.arange(n_g) < top)).sum(axis=1)
+        hits += int(np.count_nonzero(np.isfinite(best[:, 0]) & (ahead < k)))
+        del block, same, tie  # nothing n-wide outlives its block
     return RetrievalResult(k=k, recall=hits / n_q, num_queries=n_q)
 
 

@@ -43,6 +43,8 @@ class Batch:
         object.__setattr__(self, "labels", labels)
         if emb.ndim != 2 or labels.ndim != 1 or len(emb) != len(labels):
             raise ValueError("embeddings and labels must be parallel arrays")
+        if labels.dtype.kind not in "iu":  # NaN never equals itself
+            raise ValueError("batch labels must be int or uint ids")
         if emb.shape[0] < 2:
             raise ValueError("a batch needs at least 2 items")
         with np.errstate(over="ignore", invalid="ignore"):

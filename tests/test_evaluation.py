@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from tripletlab.evaluation import (
 from tripletlab.geometry import unit_rows
 from tripletlab.losses import is_hard
 from tripletlab.mining import Batch
+from tripletlab.synthdata import DatasetConfig, generate
 
 from conftest import EXACT_UNIT_ROWS, random_unit
 
@@ -91,6 +94,57 @@ class TestRecallAtK:
             labels=[0, 7, 0],
         )
         assert recall_at_k(q, g, k=1).recall == 1.0
+
+    def test_tie_with_a_lower_index_negative_ranks_it_first(self):
+        # the negative at index 1 ties the only match at index 2
+        q = Batch(
+            embeddings=np.array([[1.0, 0.0], [1.0, 0.0]]), labels=[7, 7]
+        )
+        g = Batch(
+            embeddings=np.array([[0.0, 1.0], [0.6, 0.8], [0.6, 0.8]]),
+            labels=[0, 0, 7],
+        )
+        assert recall_at_k(q, g, k=1).recall == 0.0
+        assert recall_at_k(q, g, k=2).recall == 1.0
+
+    def test_tie_in_a_later_row_of_a_later_block(self, monkeypatch):
+        """Blocks of 2 rows: query 3, row 1 of the second block, ties its
+        only match with a lower-index negative; queries 0-2 hit at k=1."""
+        monkeypatch.setattr(mining, "_BLOCK_ROWS", 2)
+        q = Batch(embeddings=np.array([[0.0, 1.0]] * 3 + [[1.0, 0.0]]),
+                  labels=[0, 0, 0, 7])
+        g = Batch(
+            embeddings=np.array([[0.0, 1.0], [0.6, 0.8], [0.6, 0.8]]),
+            labels=[0, 0, 7],
+        )
+        for k, expected in ((1, 0.75), (2, 1.0)):
+            assert recall_at_k(q, g, k=k).recall == expected
+            assert brute_force_recall(q, g, k, False) == expected
+
+    def test_label_absent_from_gallery_never_hits(self):
+        # query 1's label 5 is not in the gallery; query 0 hits at k=1
+        q = Batch(
+            embeddings=np.array([[1.0, 0.0], [1.0, 0.0]]), labels=[7, 5]
+        )
+        g = Batch(embeddings=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                  labels=[7, 0])
+        for k in (1, 2, 3):  # k = 3 is past the gallery size
+            assert recall_at_k(q, g, k=k).recall == 0.5
+
+    def test_peak_memory_is_one_similarity_block(self):
+        """4,096 points: the traced peak of one call stays within 1.5
+        blocks (12 MiB for 256 x 4,096 float64): no n-wide masked copy,
+        and no second block alive while the next product is built."""
+        ds = generate(DatasetConfig(64, 64, 32, 2.0, seed=0))
+        batch = Batch(embeddings=ds.points, labels=ds.labels)
+        block_bytes = mining._BLOCK_ROWS * len(batch) * 8
+        tracemalloc.start()
+        try:
+            recall_at_k(batch, batch, 10, exclude_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block_bytes
 
     def test_validation(self, rng):
         q = random_labeled_batch(rng, 4)

@@ -135,6 +135,16 @@ class TestBatch:
         with pytest.raises(ValueError, match="labels"):
             Batch(embeddings=np.eye(4), labels=labels)
 
+    @pytest.mark.parametrize("labels", [
+        np.array([np.nan, np.nan, 1.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]),
+        np.array([False, False, True, True]), np.array(["a", "a", "b", "b"]),
+    ], ids=["nan", "float", "bool", "str"])
+    def test_labels_that_are_no_integer_ids_rejected(self, labels):
+        """NaN never equals itself, so a NaN label would make an item its
+        own negative and another NaN item its positive."""
+        with pytest.raises(ValueError, match="int or uint ids"):
+            Batch(embeddings=np.eye(4), labels=labels)
+
 
 def block_sims(batch):
     """The similarity rows of mining._row_blocks, stacked; each block must
