@@ -88,6 +88,9 @@ def diagram_extract(batch: Batch) -> Triplets:
     excluded) and s_an the maximum different-class similarity. These are
     the ephn miner's triplets, which draw nothing at random: an item
     whose class has no second member is skipped, and a batch of one class
-    gives no point.
+    gives no point. Per block of rows, the positive is the argmax over
+    the item's class members (itself at -inf), and the negative one
+    plain argmax after -inf is written into those members' columns of
+    the block's own product: one block and no n-wide mask alive.
     """
     return mine(batch, MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE, seed=0)

@@ -3,10 +3,13 @@
 A batch is a set of unit embeddings with class labels. Each strategy emits
 one triplet per anchor. An item anchors when its class has a second member
 and the batch holds another class, so a batch of one class, or of
-singleton classes only, mines no triplet. Selection is a masked argmax
-(or argmin) over label-masked rows of the batch similarity matrix,
-computed one block of rows at a time, so ties are always broken toward
-the lowest index. Random picks come from the caller's seed: one uniform
+singleton classes only, mines no triplet. Selection reads the batch
+similarity matrix one block of rows at a time, and ties always go to
+the lowest index. An easiest positive is the argmax over the anchor's
+class members, gathered in ascending index order. A hardest negative is
+a plain argmax over the block's own product after its same-class
+columns are filled with -inf. Semi-hard negatives and random picks use
+label masks. Random picks come from the caller's seed: one uniform
 draw per anchor and random role, in anchor order, with the positive drawn
 before the negative under ``random``. Mining is a pure function of
 (batch, strategy, seed).
@@ -113,11 +116,6 @@ def _row_blocks(queries: np.ndarray,
         yield lo, queries[lo:lo + _BLOCK_ROWS] @ gallery.T
 
 
-def _argmax_where(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Column of each row's largest value under mask (lowest on ties)."""
-    return np.where(mask, values, -np.inf).argmax(axis=1)
-
-
 def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Column of each row's k-th (0-based) True entry."""
     return (mask.cumsum(axis=1) > k[:, None]).argmax(axis=1)
@@ -135,6 +133,11 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     ephn : most similar positive and most similar negative (no draws)
     random: seeded-uniform positive and negative
 
+    An easiest positive is the argmax over the anchor's similarities to
+    its class members, in ascending index order, with itself at -inf. A
+    hardest negative is the argmax of the block's own product after -inf
+    is written into the anchor's class columns.
+
     A draw whose range holds one value, such as the only positive of a
     two-per-class batch, would return 0: when no draw has a wider range,
     no generator is built and every pick is the same as drawn. The seed
@@ -143,10 +146,12 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     strategy = MiningStrategy(strategy)
     check_count("seed", seed, 0)
     labels = batch.labels
-    ordered = np.sort(labels)
-    # each item's class size: the span of its label in the sorted labels
-    size = (ordered.searchsorted(labels, "right")
-            - ordered.searchsorted(labels, "left"))
+    # stable: each class's members sit in ascending index order
+    order = labels.argsort(kind="stable")
+    ordered = labels[order]
+    # each item's class is order[first:first + size]
+    first = ordered.searchsorted(labels, "left")
+    size = ordered.searchsorted(labels, "right") - first
     # an anchor needs a positive and a negative
     anchors = ((size > 1) & (size < len(batch))).nonzero()[0]
     random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
@@ -175,24 +180,34 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
         # its own anchor rows: no copy
         row_sims = block if rows.size == len(block) else block[rows - lo]
         each = np.arange(rows.size)
-        neg = labels[rows, None] != labels
-        pos = ~neg
-        pos[each, rows] = False
+        if strategy != MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE:
+            neg = labels[rows, None] != labels
         if random_p:  # with nothing drawn, the first eligible column
+            pos = ~neg
+            pos[each, rows] = False
             p = _nth(pos, draws[part, 0]) if drawn else pos.argmax(axis=1)
         else:
-            p = _argmax_where(row_sims, pos)
+            # each anchor's class members, ascending, padded with the last
+            span = np.arange(size[rows].max(initial=1))[:, None]
+            members = order[(first[rows]
+                             + np.minimum(span, size[rows] - 1)).T]
+            row_sims[each, rows] = -np.inf  # not itself, nor as padding
+            p = members[each, row_sims[each[:, None], members].argmax(axis=1)]
         s_ap[part] = row_sims[each, p]
         if random_n:
             n = _nth(neg, draws[part, -1])
         elif strategy == MiningStrategy.SEMI_HARD_NEGATIVE:
             feasible = neg & (row_sims < s_ap[part, None])
             n = np.where(feasible.any(axis=1),
-                         _argmax_where(row_sims, feasible),
-                         _argmax_where(-row_sims, neg))
-        else:
-            n = _argmax_where(row_sims, neg)
+                         np.where(feasible, row_sims, -np.inf).argmax(axis=1),
+                         np.where(neg, row_sims, np.inf).argmin(axis=1))
+        else:  # row_sims is a fresh product: fill class columns in place
+            if random_p:
+                np.putmask(row_sims, ~neg, -np.inf)
+            else:
+                row_sims[each[:, None], members] = -np.inf
+            n = row_sims.argmax(axis=1)
         positive[part], negative[part] = p, n
         s_an[part] = row_sims[each, n]
+        del block, row_sims  # one similarity block alive at a time
     return Triplets(anchors, positive, negative, s_ap, s_an)
-

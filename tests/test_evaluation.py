@@ -25,6 +25,21 @@ def random_labeled_batch(rng, n, dim=6, classes=5):
     return Batch(embeddings=emb, labels=labels)
 
 
+def assert_peak_is_one_block(call):
+    """The traced peak of call(batch) on 4,096 generated points is at
+    most 1.5 similarity blocks (256 x 4,096 float64, 12 MiB)."""
+    ds = generate(DatasetConfig(64, 64, 32, 2.0, seed=0))
+    batch = Batch(embeddings=ds.points, labels=ds.labels)
+    block_bytes = mining._BLOCK_ROWS * len(batch) * 8
+    tracemalloc.start()
+    try:
+        call(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block_bytes
+
+
 def brute_force_recall(queries, gallery, k, exclude_self):
     hits = 0
     sims = queries.embeddings @ gallery.embeddings.T
@@ -135,16 +150,8 @@ class TestRecallAtK:
         """4,096 points: the traced peak of one call stays within 1.5
         blocks (12 MiB for 256 x 4,096 float64): no n-wide masked copy,
         and no second block alive while the next product is built."""
-        ds = generate(DatasetConfig(64, 64, 32, 2.0, seed=0))
-        batch = Batch(embeddings=ds.points, labels=ds.labels)
-        block_bytes = mining._BLOCK_ROWS * len(batch) * 8
-        tracemalloc.start()
-        try:
-            recall_at_k(batch, batch, 10, exclude_self=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * block_bytes
+        assert_peak_is_one_block(
+            lambda b: recall_at_k(b, b, 10, exclude_self=True))
 
     def test_validation(self, rng):
         q = random_labeled_batch(rng, 4)
@@ -265,6 +272,12 @@ class TestDiagramExtract:
         batch = Batch(embeddings=emb, labels=[0, 1, 0])
         points = {t.anchor: t for t in diagram_extract(batch)}
         assert is_hard(points[0].coord)
+
+    def test_peak_memory_is_one_similarity_block(self):
+        """4,096 points: the traced peak of one call stays within 1.5
+        blocks (12 MiB for 256 x 4,096 float64): no n-wide masked copy,
+        and no second block alive while the next product is built."""
+        assert_peak_is_one_block(diagram_extract)
 
     def test_matches_double_loop_oracle(self, rng):
         batch = random_labeled_batch(rng, 40, classes=5)

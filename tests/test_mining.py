@@ -323,6 +323,34 @@ def test_blocks_of_anchors_and_of_mixed_rows_match_brute_force(seed):
         check_mining_against_brute_force(batch, seed)
 
 
+def test_unequal_classes_across_blocks_match_brute_force():
+    """300 exact-tie points: one class of more members than a block has
+    rows, classes of 2-20 and singletons, shuffled over the rows. At the
+    default block size and in blocks of 7, where padded member rows and
+    -inf fills cross block edges, every miner matches brute_force_mine
+    and diagram_extract the double loop, and no call writes into the
+    batch's embeddings."""
+    rng = np.random.default_rng(29)
+    sizes = [mining._BLOCK_ROWS + 2, 2, 3, 5, 9, 20, 1, 1, 1]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    rows = rng.choice(len(EXACT_UNIT_ROWS), size=len(labels))
+    batch = Batch(embeddings=np.array(EXACT_UNIT_ROWS)[rows], labels=labels)
+    before = batch.embeddings.copy()
+    expected = {strategy: brute_force_mine(batch, strategy, 7)
+                for strategy in MiningStrategy}
+    diagram = brute_force_diagram(batch)
+    for block_rows in (mining._BLOCK_ROWS, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mining, "_BLOCK_ROWS", block_rows)
+            for strategy in MiningStrategy:
+                got = [(t.anchor, t.positive, t.negative)
+                       for t in mine(batch, strategy, 7)]
+                assert got == expected[strategy]
+                assert np.array_equal(batch.embeddings, before)
+            assert list(diagram_extract(batch)) == diagram
+            assert np.array_equal(batch.embeddings, before)
+
+
 def check_mining_against_brute_force(batch, seed):
     if len(np.unique(batch.labels)) < 2:
         for strategy in MiningStrategy:
