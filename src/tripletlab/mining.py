@@ -117,8 +117,9 @@ def _row_blocks(queries: np.ndarray,
 
 
 def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Column of each row's k-th (0-based) True entry."""
-    return (mask.cumsum(axis=1) > k[:, None]).argmax(axis=1)
+    """Column of each row's k-th (0-based) True entry. The running count
+    is int32, half the default's bytes: it never exceeds the row width."""
+    return (mask.cumsum(axis=1, dtype=np.int32) > k[:, None]).argmax(axis=1)
 
 
 def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:

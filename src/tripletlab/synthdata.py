@@ -15,11 +15,19 @@ inf, nan, a decimal exponent beyond +-290 (subnormals included) and a
 value whose 12-digit scaling lies within 1e-3 of a half; ``%d`` cells
 (int, uint and bool columns) through the same ``%.12g`` tables below
 10^12 in magnitude, by ``"%d" %`` above.
+
+``read_table`` is the one CSV reader. A file whose body is plain numbers
+(the bytes ``0-9 + - . e E ,`` and newlines only, as ``write_table``
+writes them) under a header without quotes or carriage returns is parsed
+in one ``np.loadtxt`` pass; any other file goes through ``csv.reader``,
+with ``int()`` and ``float()`` per cell, which would give the same
+arrays or the same error.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,8 +150,73 @@ def read_table(
     Returns (header, labels, values). With labeled=True the first column
     holds int labels and values the remaining columns; otherwise labels
     is None and values holds every column. Non-finite values are rejected.
+
+    A plain numeric body is parsed in one pass (``_read_plain``); any other
+    file by ``csv.reader``, ``int()`` and ``float()`` per cell, which would
+    return the same arrays bit for bit. Either way values is C-contiguous.
     """
     path = Path(path)
+    first = 1 if labeled else 0
+    table = _read_plain(path.read_bytes(), first)
+    header, labels, values = table or _read_csv(path, first)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise DatasetParseError(
+            f"{path}: line {int(np.argmax(bad)) + 2}: non-finite value"
+        )
+    return header, labels, values
+
+
+# the bytes of a body write_table writes: on such text float() and
+# loadtxt's float64 parse both call PyOS_string_to_double, and int() and
+# loadtxt's int64 parse accept and refuse the same labels
+_PLAIN = b"0123456789+-.eE,\n"
+
+
+def _read_plain(raw: bytes, first: int):
+    """(header, labels, values) parsed by np.loadtxt, or None where the
+    csv path must decide: a body byte outside _PLAIN, a quote or carriage
+    return in the header, no body, a blank line (loadtxt would skip it,
+    csv reads an empty row), a line past csv's field size limit, a header
+    that is not UTF-8 or too narrow, or a cell loadtxt refuses."""
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    if not len(ends):
+        return None
+    # byte length of each line, the header first; 0 last after a final \n
+    lines = np.diff(ends, prepend=-1, append=len(raw)) - 1
+    head = raw[:ends[0]]
+    if (not lines[1:].any() or not lines[1:-1].all()
+            or lines.max() > csv.field_size_limit()
+            or b'"' in head or b"\r" in head
+            # every byte outside _PLAIN lies in the header
+            or len(raw.translate(None, _PLAIN))
+            != len(head.translate(None, _PLAIN))):
+        return None
+    try:
+        header = next(csv.reader([head.decode("utf-8") + "\n"]))
+    except UnicodeDecodeError:
+        return None
+    width = len(header) - first
+    if width < 1:
+        return None
+    dtype = (np.dtype([("label", np.int64), ("x", np.float64, (width,))])
+             if first else np.float64)
+    body = io.BytesIO(raw)  # the bytes checked above, not a second read
+    body.seek(ends[0] + 1)
+    try:
+        table = np.loadtxt(body, dtype, delimiter=",", comments=None,
+                           ndmin=1 if first else 2)
+    except ValueError:
+        return None
+    if first:  # the fields are strided: copy each into its own array
+        return (header, np.ascontiguousarray(table["label"]),
+                np.ascontiguousarray(table["x"]))
+    return (header, None, table) if table.shape[1] == width else None
+
+
+def _read_csv(path: Path, first: int):
+    """(header, labels, values) from csv.reader, int() and float() per
+    cell, raising for the first malformed line."""
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -154,22 +227,16 @@ def read_table(
     header, body = rows[0], rows[1:]
     if not body:
         raise DatasetParseError(f"{path}: no data rows")
-    first = 1 if labeled else 0
     if any(len(row) != len(header) for row in body):
         _raise_first_bad_line(path, header, body, first)
     try:
         labels = (np.array([int(row[0]) for row in body], dtype=np.int64)
-                  if labeled else None)
+                  if first else None)
         # float() of every cell, labels included: int() text is float() text
         values = np.array(body, dtype=np.float64)[:, first:].copy()
     except (ValueError, OverflowError):
         _raise_first_bad_line(path, header, body, first)
         raise
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise DatasetParseError(
-            f"{path}: line {int(np.argmax(bad)) + 2}: non-finite value"
-        )
     return header, labels, values
 
 

@@ -7,11 +7,17 @@ closed-form step code, so the two routes check each other.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tripletlab.mining import Triplets
+from tripletlab import mining
+from tripletlab.mining import Batch, Triplets
+from tripletlab.synthdata import DatasetConfig, generate
+
+# the retrieval benchmark's 4,096 points
+RETRIEVAL = DatasetConfig(64, 64, 32, 2.0, seed=0)
 
 
 def triplet_vectors(s_ap: float, s_an: float, g: float):
@@ -88,6 +94,25 @@ SPECIAL = np.array(
      9999.995, np.nextafter(9999.995, 0.0), np.nextafter(9999.995, 1e5),
      1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
      -np.nan] + _HALF_CENTS + [-v for v in _HALF_CENTS])
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_peak_within_blocks(call, blocks):
+    """The traced peak of call(batch) on the RETRIEVAL points is at most
+    `blocks` similarity blocks (256 x 4,096 float64, 8 MiB each)."""
+    ds = generate(RETRIEVAL)
+    batch = Batch(embeddings=ds.points, labels=ds.labels)
+    block_bytes = mining._BLOCK_ROWS * len(batch) * 8
+    assert traced_peak(lambda: call(batch)) <= blocks * block_bytes
 
 
 def triplets_of(rows):

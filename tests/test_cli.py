@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import tripletlab
 from tripletlab.cli import main
+from tripletlab.synthdata import _read_plain
 from tripletlab.trainer import MAX_BATCHES_PER_EPOCH, MAX_EPOCHS
 
 
@@ -357,6 +358,46 @@ def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):
                             env=env, capture_output=True).returncode
              for name in ("utf8.csv", "ff.csv")]
     assert codes == [0, 2]
+
+
+def _rewrite_for_the_csv_reader(path):
+    """The table at path with \\r\\n line ends, each body row's first
+    cell quoted and the others padded with spaces: cells csv.reader,
+    int() and float() read as the plain file's, and _read_plain does not."""
+    head, *rows = path.read_text().splitlines()
+    body = [f'"{first}",' + ",".join(f" {cell} " for cell in rest)
+            for first, *rest in (row.split(",") for row in rows)]
+    out = path.with_name(f"csv.{path.name}")
+    out.write_bytes("\r\n".join([head, *body, ""]).encode())
+    return out
+
+
+def test_csv_path_files_give_the_plain_files_artifacts(outdir):
+    """diagram, diagram --weights and train write the same bytes from a
+    dataset and weights that only the csv path reads as from the plain
+    files that are parsed in one pass."""
+    main(gen_args())
+    main(["train", "--data", str(outdir / "data.csv"), "--epochs", "2",
+          "--classes-per-batch", "2", "--embed-dim", "4",
+          "--out-prefix", "w"])
+    files = {"p": (outdir / "data.csv", outdir / "w.weights.csv")}
+    files["c"] = tuple(map(_rewrite_for_the_csv_reader, files["p"]))
+    for side, (data, weights) in files.items():
+        assert (_read_plain(data.read_bytes(), 1) is None) == (side == "c")
+        assert (_read_plain(weights.read_bytes(), 0) is None) == (side == "c")
+        runs = {"d": ["diagram", "--data", str(data)],
+                "dw": ["diagram", "--data", str(data), "--weights",
+                       str(weights)],
+                "t": ["train", "--data", str(data), "--epochs", "2",
+                      "--classes-per-batch", "2", "--embed-dim", "4"]}
+        for run, argv in runs.items():
+            assert main([*argv, "--out-prefix", f"{side}.{run}"]) == 0
+    made = sorted(path.name[1:] for path in outdir.glob("p.*")
+                  if not path.name.endswith(".manifest.json"))
+    assert len(made) == 9  # each diagram's csv and svg, train's five
+    for name in made:
+        assert (outdir / f"c{name}").read_bytes() == (
+            outdir / f"p{name}").read_bytes(), name
 
 
 def test_huge_finite_field_draws_without_nan(outdir, capsys):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,30 +12,15 @@ from tripletlab.evaluation import (
 from tripletlab.geometry import unit_rows
 from tripletlab.losses import is_hard
 from tripletlab.mining import Batch
-from tripletlab.synthdata import DatasetConfig, generate
 
-from conftest import EXACT_UNIT_ROWS, random_unit
+from conftest import (EXACT_UNIT_ROWS, assert_peak_within_blocks,
+                      random_unit)
 
 
 def random_labeled_batch(rng, n, dim=6, classes=5):
     emb = np.stack([random_unit(rng, dim) for _ in range(n)])
     labels = rng.integers(0, classes, size=n)
     return Batch(embeddings=emb, labels=labels)
-
-
-def assert_peak_is_one_block(call):
-    """The traced peak of call(batch) on 4,096 generated points is at
-    most 1.5 similarity blocks (256 x 4,096 float64, 12 MiB)."""
-    ds = generate(DatasetConfig(64, 64, 32, 2.0, seed=0))
-    batch = Batch(embeddings=ds.points, labels=ds.labels)
-    block_bytes = mining._BLOCK_ROWS * len(batch) * 8
-    tracemalloc.start()
-    try:
-        call(batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * block_bytes
 
 
 def brute_force_recall(queries, gallery, k, exclude_self):
@@ -150,8 +133,8 @@ class TestRecallAtK:
         """4,096 points: the traced peak of one call stays within 1.5
         blocks (12 MiB for 256 x 4,096 float64): no n-wide masked copy,
         and no second block alive while the next product is built."""
-        assert_peak_is_one_block(
-            lambda b: recall_at_k(b, b, 10, exclude_self=True))
+        assert_peak_within_blocks(
+            lambda b: recall_at_k(b, b, 10, exclude_self=True), 1.5)
 
     def test_validation(self, rng):
         q = random_labeled_batch(rng, 4)
@@ -277,7 +260,7 @@ class TestDiagramExtract:
         """4,096 points: the traced peak of one call stays within 1.5
         blocks (12 MiB for 256 x 4,096 float64): no n-wide masked copy,
         and no second block alive while the next product is built."""
-        assert_peak_is_one_block(diagram_extract)
+        assert_peak_within_blocks(diagram_extract, 1.5)
 
     def test_matches_double_loop_oracle(self, rng):
         batch = random_labeled_batch(rng, 40, classes=5)

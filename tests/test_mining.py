@@ -17,7 +17,7 @@ from tripletlab.mining import (
     mine,
 )
 
-from conftest import EXACT_UNIT_ROWS, random_unit
+from conftest import EXACT_UNIT_ROWS, assert_peak_within_blocks, random_unit
 
 
 def random_batch(rng, n, dim=4, classes=3):
@@ -349,6 +349,14 @@ def test_unequal_classes_across_blocks_match_brute_force():
                 assert np.array_equal(batch.embeddings, before)
             assert list(diagram_extract(batch)) == diagram
             assert np.array_equal(batch.embeddings, before)
+
+
+def test_hn_peak_memory_is_within_two_and_a_half_blocks():
+    """4,096 points under hn: the traced peak of one call stays within
+    2.5 similarity blocks (20 MiB): the block, its same-class mask and
+    _nth's running count, which is int32, not an int64 block."""
+    assert_peak_within_blocks(
+        lambda b: mine(b, MiningStrategy.HARD_NEGATIVE, 0), 2.5)
 
 
 def check_mining_against_brute_force(batch, seed):

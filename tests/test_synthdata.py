@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletlab import _render
@@ -17,6 +19,8 @@ from tripletlab.synthdata import (
     save,
     write_table,
 )
+
+from conftest import RETRIEVAL, traced_peak
 
 CFG = DatasetConfig(
     num_classes=8, per_class=32, input_dim=16, intra_spread=2.0, seed=0
@@ -285,6 +289,130 @@ def test_write_table_reads_back_bit_for_bit(tmp_path_factory, rows, dim,
     assert back_labels.dtype == np.int64
     assert np.array_equal(back_labels, labels)
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+def csv_read_table(path, labeled=False):
+    """read_table's csv path as an oracle: csv.reader, then int() and
+    float() per cell, row by row, with read_table's messages."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    if not rows:
+        raise DatasetParseError(f"{path}: empty file")
+    if len(rows) == 1:
+        raise DatasetParseError(f"{path}: no data rows")
+    header, first = rows[0], int(labeled)
+    labels, values = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DatasetParseError(f"{path}: line {lineno}: expected "
+                                    f"{len(header)} columns, got {len(row)}")
+        try:
+            if labeled:
+                labels.append(int(row[0]))
+                if not -2**63 <= labels[-1] < 2**63:
+                    raise ValueError(f"label {row[0]} does not fit in int64")
+            values.append([float(x) for x in row[first:]])
+        except ValueError as exc:
+            raise DatasetParseError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, row in enumerate(values, start=2):
+        if not np.isfinite(row).all():
+            raise DatasetParseError(f"{path}: line {lineno}: non-finite value")
+    return (header, np.array(labels, dtype=np.int64) if labeled else None,
+            np.array(values, dtype=np.float64))
+
+
+def _outcome(read, path, labeled):
+    """(header, labels, values), or (exception type, message)."""
+    try:
+        return read(path, labeled=labeled)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def numeric_tables(draw):
+    """A table's text: a label column of int() text, some with a sign,
+    leading zeros or past int64, and floats written by %.12g, repr or
+    %.17g, or with an exponent (inf and nan included)."""
+    width = draw(st.integers(1, 4))
+    fmt = draw(st.sampled_from(["%.12g", "%r", "%.17g", "%.6e", "%.3E"]))
+    label = st.one_of(
+        st.sampled_from(["+3", "0003", "-0", str(2**63 - 1), str(2**63),
+                         str(-2**63)]),
+        st.integers(-2**64, 2**64).map(str))
+    row = st.tuples(label, st.lists(st.floats(), min_size=width,
+                                    max_size=width))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return "".join([",".join(["label"] + [f"x{j}" for j in range(width)])
+                    + "\n"] + [",".join([lab] + [fmt % v for v in vals])
+                               + "\n" for lab, vals in rows])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=numeric_tables())
+@example(text="label,x0\n1,0.5\n\n2,0.25\n")  # a blank line
+@example(text="label,x0\n1,0.5\n\n")  # a trailing blank line
+@example(text="label,x0\r\n1,0.5\r\n2,0.25\r\n")
+@example(text="label,x0\n1,0.5\r2,0.25\n")  # a lone \r
+@example(text="label,x0\r1,0.5\n2,0.25\n")  # a lone \r in the first line
+@example(text="label,x0\n1,0.5\r\r\n2,0.25\n")
+@example(text="label,x0\n1,0.5\r\n\r\n2,0.25\n")  # a blank \r\n line
+@example(text='label,x0\n"1","0.5"\n2,0.25\n')  # quoted cells
+@example(text='"label",x0\n1,0.5\n')  # a header with quotes
+@example(text='"label,x0\n1\n')  # a quote that never closes
+@example(text="label,x0\n 1 , 0.5 \n")  # padded cells
+@example(text="label,x0\n1,0.5\n2,inf\n")
+@example(text="label,x0\n1,nan\n")
+@example(text="label,x0\n1,0.5\n2,1e400\n")  # plain text, not finite
+@example(text="label,x0\n1,1_5\n")
+@example(text="label,x0\n\u0661,0.5\n")  # an Arabic-Indic digit
+@example(text="label,x0,x1\n1,,0.5\n")  # an empty cell
+@example(text="label,x0\n1,0.5,0.25\n")  # a wrong width
+@example(text="label,x0\n3.0,0.5\n")
+@example(text="label,x0\n1,0.5\n2,0.25")  # no final newline
+@example(text="")
+@example(text="label,x0\n")  # no data rows
+@example(text="label\n3\n")  # no value column
+@example(text="\n1,2\n")  # an empty header
+@example(text=b"label,x0\n1,0.5\n2,\xff\n")  # not UTF-8
+@example(text=b"label,x\xff\n1,0.5\n")  # a header not UTF-8
+@example(text="label,x0\n1," + "0" * 131073 + "\n")  # past the field limit
+def test_read_table_matches_the_csv_oracle(tmp_path_factory, text):
+    """Labeled and not, read_table returns the oracle's header and
+    arrays bit for bit, with its dtypes and C-contiguous values, or raises
+    its exception with its message: a plain numeric body parsed in one
+    pass reads as the csv path would read it, and every other file goes
+    through the csv path."""
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    for labeled in (True, False):
+        want = _outcome(csv_read_table, path, labeled)
+        got = _outcome(read_table, path, labeled)
+        assert len(got) == len(want)
+        if len(want) == 2:
+            assert got == want
+            continue
+        assert got[0] == want[0]
+        for array, expected in zip(got[1:], want[1:]):  # labels, values
+            if expected is None:
+                assert array is None
+                continue
+            assert array.dtype == expected.dtype
+            assert array.shape == expected.shape
+            assert array.flags.c_contiguous
+            assert array.tobytes() == expected.tobytes()
+
+
+def test_load_peak_memory(tmp_path):
+    """One load of the 4,096-point retrieval data stays within 10 MiB
+    traced: no list of str cells, only the file's bytes, the parsed table
+    and the arrays copied out of it."""
+    path = tmp_path / "data.csv"
+    save(generate(RETRIEVAL), path)
+    assert traced_peak(lambda: load(path)) <= 10 * 2**20
 
 
 @pytest.mark.parametrize("column", [
