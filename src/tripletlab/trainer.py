@@ -16,7 +16,9 @@ Two gradient modes ship:
   (I - f f^T)/||z|| before the linear map.
 
 Everything is driven by one seeded generator, so training is
-bit-deterministic given (dataset, config).
+bit-deterministic given (dataset, config). Batches are drawn up to
+_DRAW_ROWS rows ahead of their steps, with the generator calls in per-step
+order (classes, pairs, the batch's mining seed), so no bit depends on it.
 """
 
 from __future__ import annotations
@@ -27,16 +29,17 @@ from enum import Enum
 import numpy as np
 
 from .evaluation import collapse_metric, recall_at_k
-from .geometry import (DegenerateVectorError, check_amount, check_count,
-                       unit_rows)
+from .geometry import (DegenerateVectorError, TripletCoord, check_amount,
+                       check_count, unit_rows)
 from .losses import LossSpec, batch_feature_grads, is_hard, loss_values
 from .mining import Batch, MiningStrategy, Triplets, mine
 from .synthdata import DatasetParseError, LabeledDataset
 
 _SEED_MAX = 2**63 - 1
+_DRAW_ROWS = 1024  # batch rows drawn ahead of the steps that use them
 MAX_EMBED_DIM = 1024  # checked before the weights are allocated
-# each epoch keeps a log and evaluates the whole dataset; each batch keeps
-# its losses until the epoch ends: both checked before training starts
+# each epoch keeps a log and evaluates the whole dataset, each batch its
+# mined s_ap and s_an until the epoch ends: both checked before training starts
 MAX_EPOCHS = 100_000
 MAX_BATCHES_PER_EPOCH = 1_000_000
 
@@ -160,18 +163,22 @@ def backward(inputs: np.ndarray, feats: np.ndarray, norms: np.ndarray,
 
 
 def _sample_batch(rng: np.random.Generator, rows: np.ndarray,
-                  start: np.ndarray, size: np.ndarray,
-                  classes_per_batch: int) -> np.ndarray:
-    """Two of rows[start[c]:][:size[c]] for classes_per_batch distinct c. One
-    call draws what rng.choice(n, 2, replace=False) would: Floyd's d0 < n-1,
-    d1 < n (n-1 if d1 == d0), then d2 < 2, which swaps the pair when 0."""
-    chosen = rng.choice(size.size, size=classes_per_batch, replace=False)
-    bounds = size[chosen, None] - (1, 0, 0)
-    bounds[:, 2] = 2
-    d = rng.integers(0, bounds)
-    d[:, 1] = np.where(d[:, 1] == d[:, 0], bounds[:, 0], d[:, 1])
-    pair = np.where(d[:, 2:], d[:, :2], d[:, 1::-1])
-    return rows[(start[chosen, None] + pair).ravel()]
+                  start: np.ndarray, bounds: np.ndarray, k: int,
+                  count: int) -> tuple[np.ndarray, list[int]]:
+    """count batches, each two rows of each of k distinct classes, as a
+    (count, 2k) array, and the mining seed drawn after each batch. Class c
+    has rows[start[c]:][:n] and bounds[c] = (n-1, n, 2): one integers call
+    per batch draws what rng.choice(n, 2, replace=False) would, Floyd's
+    d0 < n-1, d1 < n (n-1 if d1 == d0), then d2 < 2 (0 swaps the pair)."""
+    chosen, d, seeds = [], [], []
+    for _ in range(count):
+        chosen.append(rng.choice(len(bounds), size=k, replace=False))
+        d.append(rng.integers(0, bounds[chosen[-1]]))
+        seeds.append(int(rng.integers(_SEED_MAX)))
+    chosen, d = np.array(chosen), np.array(d)
+    np.copyto(d[..., 1], bounds[chosen, 0], where=d[..., 1] == d[..., 0])
+    pair = np.where(d[..., 2:], d[..., :2], d[..., 1::-1])
+    return rows[start[chosen][..., None] + pair].reshape(count, -1), seeds
 
 
 def train(
@@ -180,10 +187,13 @@ def train(
     """Run SGD (momentum 0) and log per-epoch retrieval health.
 
     Returns the final weights along with the logs. Epoch metrics: mean
-    triplet loss and hard fraction over everything mined that epoch;
+    triplet loss and hard fraction, computed once from the coordinates of
+    everything mined that epoch (elementwise, so the per-batch values);
     recall@1 (self excluded) and mean off-diagonal similarity over the
     full dataset embedding. Every snapshot_every epochs the log keeps the
     last batch's mined triplets with indices remapped to dataset rows.
+    Batches are drawn up to _DRAW_ROWS rows ahead of their steps, each
+    batch's mining seed right after it, as a per-step loop would draw them.
     Raises DatasetParseError when a class has one member, and
     DegenerateVectorError when training diverges (an embedding norm or an
     SGD update overflows) or an epoch's mean loss overflows.
@@ -197,10 +207,10 @@ def train(
         raise DatasetParseError(
             "every class needs at least 2 members for sampling"
         )
-    n = len(dataset)
-    batches = config.batches_per_epoch or max(
-        1, round(n / (2 * config.classes_per_batch))
-    )
+    bounds = np.stack((size - 1, size, np.full_like(size, 2)), axis=1)
+    n, k = len(dataset), config.classes_per_batch
+    batches = config.batches_per_epoch or max(1, round(n / (2 * k)))
+    per_block = max(1, _DRAW_ROWS // (2 * k))
     rng = np.random.default_rng(config.seed)
     params = init_params(
         dataset.dim, config.embed_dim, seed=int(rng.integers(_SEED_MAX))
@@ -208,35 +218,35 @@ def train(
     logs: list[EpochLog] = []
     for epoch in range(config.epochs):
         # two members of each drawn class: every item anchors a triplet
-        losses, hard = [], []
-        for _ in range(batches):
-            idx = _sample_batch(rng, rows, start, size,
-                                config.classes_per_batch)
-            xs = dataset.points[idx]
-            feats, norms = embed(params, xs)
-            batch = Batch(embeddings=feats, labels=dataset.labels[idx])
-            mined = mine(
-                batch, config.strategy, seed=int(rng.integers(_SEED_MAX))
-            )
-            losses.append(loss_values(mined, config.loss))
-            hard.append(is_hard(mined))
-            with np.errstate(over="ignore", invalid="ignore"):
-                grad = backward(xs, feats, norms, mined, config.loss,
-                                config.grad_mode)
-                weight = params.weight - config.learning_rate * grad
-            params = ModelParams(weight=weight)
+        s_ap, s_an = [], []
+        for first in range(0, batches, per_block):
+            block, seeds = _sample_batch(rng, rows, start, bounds, k,
+                                         min(per_block, batches - first))
+            for idx, labels, seed in zip(block, dataset.labels[block], seeds):
+                xs = dataset.points[idx]  # per step: input_dim may be large
+                feats, norms = embed(params, xs)
+                batch = Batch(embeddings=feats, labels=labels)
+                mined = mine(batch, config.strategy, seed=seed)
+                s_ap.append(mined.s_ap)
+                s_an.append(mined.s_an)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    grad = backward(xs, feats, norms, mined, config.loss,
+                                    config.grad_mode)
+                    weight = params.weight - config.learning_rate * grad
+                params = ModelParams(weight=weight)
         all_feats, _ = embed(params, dataset.points)
         full = Batch(embeddings=all_feats, labels=dataset.labels)
         result = recall_at_k(full, full, k=1, exclude_self=True)
+        coords = TripletCoord(np.concatenate(s_ap), np.concatenate(s_an))
         with np.errstate(over="ignore"):
-            mean_loss = float(np.mean(np.concatenate(losses)))
+            mean_loss = float(np.mean(loss_values(coords, config.loss)))
         if not np.isfinite(mean_loss):  # finite losses, an overflowing sum
             raise DegenerateVectorError("the epoch's mean loss overflows")
         logs.append(
             EpochLog(
                 epoch=epoch,
                 mean_loss=mean_loss,
-                hard_fraction=float(np.mean(np.concatenate(hard))),
+                hard_fraction=float(np.mean(is_hard(coords))),
                 recall_at_1=result.recall,
                 collapse=collapse_metric(full),
                 snapshot=(

@@ -328,6 +328,10 @@ def test_criterion_5_collapse_vs_convergence():
             hn = final_log(nca, MiningStrategy.HARD_NEGATIVE, seed)
             sc = final_log(sct, MiningStrategy.HARD_NEGATIVE, seed)
             shn = final_log(nca, MiningStrategy.SEMI_HARD_NEGATIVE, seed)
+            print(f"\nseed {seed}: collapse NCA+HN {hn.collapse:.4f}, "
+                  f"SCT+HN {sc.collapse:.4f}, NCA+SHN {shn.collapse:.4f}; "
+                  f"recall@1 NCA+HN {hn.recall_at_1:.4f}, "
+                  f"SCT+HN {sc.recall_at_1:.4f}", end="")
             assert hn.collapse > sc.collapse, (
                 f"seed {seed}: HN collapse {hn.collapse:.4f} <= "
                 f"SCT {sc.collapse:.4f}"

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,3 +159,13 @@ def test_train_calls_mine_per_batch_and_recall_per_epoch(monkeypatch):
     tripletlab.train(dataset, tripletlab.TrainConfig(
         epochs=2, classes_per_batch=2, embed_dim=3, batches_per_epoch=3))
     assert calls == {"mine": 6, "recall_at_k": 2}
+
+
+def test_readme_library_use_runs():
+    """README's "Library use" Python block, which trains a model with
+    tl.train, runs as written."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    assert "tl.train(" in code
+    exec(compile(code, "README.md", "exec"), {})

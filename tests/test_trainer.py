@@ -3,17 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripletlab import trainer
+from tripletlab.evaluation import collapse_metric, recall_at_k
 from tripletlab.geometry import TripletCoord
 from tripletlab.losses import (
     LossKind,
     LossSpec,
     batch_feature_grads,
+    is_hard,
     loss_values,
 )
-from tripletlab.mining import MinedTriplet, MiningStrategy, Triplets
+from tripletlab.mining import (Batch, MinedTriplet, MiningStrategy,
+                               Triplets, mine)
 from tripletlab.synthdata import DatasetConfig, generate
 from tripletlab.trainer import (
     MAX_EMBED_DIM,
+    EpochLog,
     GradMode,
     ModelParams,
     TrainConfig,
@@ -232,11 +237,12 @@ def test_backward_sums_rows_as_add_at(n, d, k, kind, grad_mode, seed):
 
 
 def class_index(labels):
-    """The sampler's class index: rows sorted by class, starts and sizes."""
+    """The sampler's class index: rows sorted by class, starts, and each
+    class's draw bounds (size - 1, size, 2)."""
     rows = np.argsort(labels, kind="stable")
     _, start, size = np.unique(labels[rows], return_index=True,
                                return_counts=True)
-    return rows, start, size
+    return rows, start, np.stack((size - 1, size, np.full_like(size, 2)), 1)
 
 
 def choice_sampler(rng, members, classes_per_batch):
@@ -252,50 +258,125 @@ def choice_sampler(rng, members, classes_per_batch):
 class TestSampler:
     def test_two_per_class_no_repeats(self):
         ds = small_dataset()
-        rows, start, size = class_index(ds.labels)
+        index = class_index(ds.labels)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            idx = _sample_batch(rng, rows, start, size, classes_per_batch=3)
-            assert len(idx) == 6
-            labels = ds.labels[idx]
-            values, counts = np.unique(labels, return_counts=True)
-            assert len(values) == 3
-            assert np.all(counts == 2)
-            assert len(np.unique(idx)) == 6
+        for count in (1, 7, 42):
+            block, seeds = _sample_batch(rng, *index, 3, count)
+            assert block.shape == (count, 6) and len(seeds) == count
+            for idx in block:
+                values, counts = np.unique(ds.labels[idx], return_counts=True)
+                assert len(values) == 3
+                assert np.all(counts == 2)
+                assert len(np.unique(idx)) == 6
 
 
 @st.composite
 def labelled_classes(draw):
     """Shuffled labels of 2-12 classes with non-contiguous ids and unequal
-    sizes 2-300 (size 2 has a one-value first draw), and per batch a
-    classes-per-batch count from 2 to all classes."""
+    sizes 2-300 (size 2 has a one-value first draw), and per block a
+    classes-per-batch count from 2 to all classes and 1-5 batches."""
     sizes = draw(st.lists(st.integers(2, 300), min_size=2, max_size=12))
     ids = draw(st.lists(st.integers(-1000, 1000), min_size=len(sizes),
                         max_size=len(sizes), unique=True))
     labels = np.repeat(np.asarray(ids), sizes)
     np.random.default_rng(draw(st.integers(0, 2**32 - 1))).shuffle(labels)
-    per_batch = draw(st.lists(st.integers(2, len(sizes)), min_size=1,
-                              max_size=6))
-    return labels, per_batch
+    blocks = draw(st.lists(st.tuples(st.integers(2, len(sizes)),
+                                     st.integers(1, 5)),
+                           min_size=1, max_size=6))
+    return labels, blocks
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=labelled_classes(), seed=st.integers(0, 2**63 - 1))
 def test_sampler_matches_per_class_choice(case, seed):
-    """The one-call sampler returns the rows of per-class Generator.choice
-    draws and leaves the generator in the same state after every batch,
-    starting with half of a 64-bit output pending."""
-    labels, per_batch = case
+    """Each batch of a block holds the rows of per-class Generator.choice
+    draws, each seed is the integers(2**63 - 1) draw after its batch, and
+    the generator ends every block in the per-step loop's state, starting
+    with half of a 64-bit output pending."""
+    labels, blocks = case
     members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
     index = class_index(labels)
     want, got = np.random.default_rng(seed), np.random.default_rng(seed)
     for rng in (want, got):
         rng.integers(7)  # one 32-bit draw: the other half stays pending
         assert rng.bit_generator.state["has_uint32"] == 1
-    for k in per_batch:
-        expected = choice_sampler(want, members, k)
-        assert np.array_equal(_sample_batch(got, *index, k), expected)
+    for k, count in blocks:
+        block, seeds = _sample_batch(got, *index, k, count)
+        assert block.shape == (count, 2 * k)
+        for idx, seed_drawn in zip(block, seeds, strict=True):
+            assert np.array_equal(idx, choice_sampler(want, members, k))
+            assert seed_drawn == int(want.integers(2**63 - 1))
         assert got.bit_generator.state == want.bit_generator.state
+
+
+def reference_train(dataset, config):
+    """Oracle: the per-step loop, which draws a batch and its mining seed
+    right before using them and takes each batch's losses and hard flags
+    as it goes."""
+    members = {int(c): np.flatnonzero(dataset.labels == c)
+               for c in np.unique(dataset.labels)}
+    n, k = len(dataset), config.classes_per_batch
+    batches = config.batches_per_epoch or max(1, round(n / (2 * k)))
+    rng = np.random.default_rng(config.seed)
+    params = init_params(dataset.dim, config.embed_dim,
+                         seed=int(rng.integers(2**63 - 1)))
+    logs = []
+    for epoch in range(config.epochs):
+        losses, hard = [], []
+        for _ in range(batches):
+            idx = choice_sampler(rng, members, k)
+            seed = int(rng.integers(2**63 - 1))
+            xs = dataset.points[idx]
+            feats, norms = embed(params, xs)
+            mined = mine(Batch(feats, dataset.labels[idx]), config.strategy,
+                         seed)
+            losses.append(loss_values(mined, config.loss))
+            hard.append(is_hard(mined))
+            grad = backward(xs, feats, norms, mined, config.loss,
+                            config.grad_mode)
+            params = ModelParams(params.weight - config.learning_rate * grad)
+        full = Batch(embed(params, dataset.points)[0], dataset.labels)
+        logs.append(EpochLog(
+            epoch=epoch,
+            mean_loss=float(np.mean(np.concatenate(losses))),
+            hard_fraction=float(np.mean(np.concatenate(hard))),
+            recall_at_1=recall_at_k(full, full, k=1,
+                                    exclude_self=True).recall,
+            collapse=collapse_metric(full),
+            snapshot=(mined.remap(idx) if epoch % config.snapshot_every == 0
+                      else None),
+        ))
+    return params, logs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(strategy=st.sampled_from(list(MiningStrategy)),
+       kind=st.sampled_from(list(LossKind)),
+       grad_mode=st.sampled_from(list(GradMode)),
+       classes_per_batch=st.integers(2, 4),
+       batches_per_epoch=st.integers(1, 9),
+       draw_rows=st.sampled_from([1, 20, 10_000]),
+       seed=st.integers(0, 2**32))
+def test_train_matches_per_step_loop(strategy, kind, grad_mode,
+                                     classes_per_batch, batches_per_epoch,
+                                     draw_rows, seed):
+    """train() gives the per-step loop's weights, epoch logs and snapshots
+    bit for bit, whether a block holds one batch (draw_rows 1), ends in a
+    partial block (20 rows: 2-5 batches per block) or is longer than the
+    epoch (10,000 rows)."""
+    config = TrainConfig(loss=LossSpec(kind=kind, margin=0.3),
+                         strategy=strategy, grad_mode=grad_mode,
+                         learning_rate=0.5, epochs=3,
+                         classes_per_batch=classes_per_batch, embed_dim=3,
+                         seed=seed, snapshot_every=2,
+                         batches_per_epoch=batches_per_epoch)
+    ds = small_dataset()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "_DRAW_ROWS", draw_rows)
+        got, got_logs = train(ds, config)
+    want, want_logs = reference_train(ds, config)
+    assert got.weight.tobytes() == want.weight.tobytes()
+    assert got_logs == want_logs
 
 
 class TestTrain:
