@@ -56,10 +56,11 @@ def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
-    if not np.isfinite(norms).all():
-        raise DegenerateVectorError("a row's norm overflows or is not finite")
-    if (norms <= 1e-12).any():
-        raise DegenerateVectorError("a row is a zero vector")
+    lo, hi = norms.min(initial=1.0), norms.max(initial=1.0)
+    if not (lo > 1e-12 and hi < np.inf):  # NaN fails both
+        raise DegenerateVectorError(
+            "a row is a zero vector" if np.isfinite(norms).all()
+            else "a row's norm overflows or is not finite")
     return rows / norms, norms
 
 

@@ -17,6 +17,7 @@ before the negative under ``random``. Mining is a pure function of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -50,9 +51,8 @@ class Batch:
             raise ValueError("batch labels must be int or uint ids")
         if emb.shape[0] < 2:
             raise ValueError("a batch needs at least 2 items")
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.sqrt((emb * emb).sum(axis=1))
-        if not (np.abs(norms - 1.0) <= 1e-6).all():  # NaN fails too
+        sq = np.einsum("ij,ij->i", emb, emb)  # overflows to inf, no warning
+        if not (sq.min() >= (1 - 1e-6) ** 2 and sq.max() <= (1 + 1e-6) ** 2):
             raise ValueError("batch embeddings must be unit vectors")
 
     def __len__(self) -> int:
@@ -122,6 +122,26 @@ def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (mask.cumsum(axis=1, dtype=np.int32) > k[:, None]).argmax(axis=1)
 
 
+@functools.lru_cache(maxsize=8)
+def _class_table(key: bytes, dtype: np.dtype) -> tuple:
+    """Read-only (order, first, size, anchors, undrawn, same) of the labels
+    whose bytes are key: an item's class is order[first:first + size],
+    ascending; undrawn is an anchor's first other member, and same the
+    anchors' same-class mask, None past one block."""
+    labels = np.frombuffer(key, dtype)
+    order = labels.argsort(kind="stable")
+    first = labels[order].searchsorted(labels, "left")
+    size = labels[order].searchsorted(labels, "right") - first
+    anchors = ((size > 1) & (size < len(labels))).nonzero()[0]
+    undrawn = order[first[anchors] + (order[first[anchors]] == anchors)]
+    same = (labels[anchors, None] == labels
+            if len(labels) <= _BLOCK_ROWS else None)
+    table = (order, first, size, anchors, undrawn, same)
+    for array in filter(lambda a: a is not None, table):
+        array.flags.writeable = False
+    return table
+
+
 def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     """Select one triplet per anchor: every item whose class has a second
     member, if the batch holds another class.
@@ -134,10 +154,9 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     ephn : most similar positive and most similar negative (no draws)
     random: seeded-uniform positive and negative
 
-    An easiest positive is the argmax over the anchor's similarities to
-    its class members, in ascending index order, with itself at -inf. A
-    hardest negative is the argmax of the block's own product after -inf
-    is written into the anchor's class columns.
+    Picks and ties follow the module docstring. Mining reads only which
+    items share a class: batches with the same label bytes share one
+    cached class layout (_class_table).
 
     A draw whose range holds one value, such as the only positive of a
     two-per-class batch, would return 0: when no draw has a wider range,
@@ -147,29 +166,20 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     strategy = MiningStrategy(strategy)
     check_count("seed", seed, 0)
     labels = batch.labels
-    # stable: each class's members sit in ascending index order
-    order = labels.argsort(kind="stable")
-    ordered = labels[order]
-    # each item's class is order[first:first + size]
-    first = ordered.searchsorted(labels, "left")
-    size = ordered.searchsorted(labels, "right") - first
-    # an anchor needs a positive and a negative
-    anchors = ((size > 1) & (size < len(batch))).nonzero()[0]
+    order, first, size, anchors, undrawn, same_mask = _class_table(
+        labels.tobytes(), labels.dtype)
     random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
                                 MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE)
     random_n = strategy in (MiningStrategy.RANDOM,
                             MiningStrategy.EASY_POSITIVE)
-    # a row per anchor: the positive's draw, then the negative's
-    counts = np.empty((anchors.size, random_p + random_n), np.int64)
-    counts[:, :random_p] = size[anchors, None] - 1
-    counts[:, random_p:] = len(batch) - size[anchors, None]
-    drawn = (counts > 1).any()
-    draws = (np.random.default_rng(seed).integers(0, counts)
-             if drawn else np.zeros(counts.shape, np.int64))
-    positive = np.empty_like(anchors)
-    negative = np.empty_like(anchors)
-    s_ap = np.empty(anchors.shape)
-    s_an = np.empty(anchors.shape)
+    drawn = ((random_p and (size[anchors] > 2).any())
+             or (random_n and (size[anchors] < len(batch) - 1).any()))
+    if drawn:  # a row per anchor: the positive's draw, then the negative's
+        counts = np.stack((size[anchors] - 1, len(batch) - size[anchors]), 1)
+        draws = np.random.default_rng(seed).integers(
+            0, counts[:, 1 - random_p:1 + random_n])
+    positive, negative = np.empty_like(anchors), np.empty_like(anchors)
+    s_ap, s_an = np.empty(anchors.shape), np.empty(anchors.shape)
     emb = batch.embeddings
     for lo, block in _row_blocks(emb, emb):
         block.clip(-1.0, 1.0, out=block)
@@ -182,11 +192,14 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
         row_sims = block if rows.size == len(block) else block[rows - lo]
         each = np.arange(rows.size)
         if strategy != MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE:
-            neg = labels[rows, None] != labels
-        if random_p:  # with nothing drawn, the first eligible column
-            pos = ~neg
+            same = (labels[rows, None] == labels if same_mask is None
+                    else same_mask[part])
+        if random_p and drawn:
+            pos = same.copy()
             pos[each, rows] = False
-            p = _nth(pos, draws[part, 0]) if drawn else pos.argmax(axis=1)
+            p = _nth(pos, draws[part, 0])
+        elif random_p:
+            p = undrawn[part]
         else:
             # each anchor's class members, ascending, padded with the last
             span = np.arange(size[rows].max(initial=1))[:, None]
@@ -196,15 +209,15 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
             p = members[each, row_sims[each[:, None], members].argmax(axis=1)]
         s_ap[part] = row_sims[each, p]
         if random_n:
-            n = _nth(neg, draws[part, -1])
+            n = _nth(~same, draws[part, -1]) if drawn else same.argmin(axis=1)
         elif strategy == MiningStrategy.SEMI_HARD_NEGATIVE:
-            feasible = neg & (row_sims < s_ap[part, None])
+            feasible = ~same & (row_sims < s_ap[part, None])
             n = np.where(feasible.any(axis=1),
                          np.where(feasible, row_sims, -np.inf).argmax(axis=1),
-                         np.where(neg, row_sims, np.inf).argmin(axis=1))
+                         np.where(same, np.inf, row_sims).argmin(axis=1))
         else:  # row_sims is a fresh product: fill class columns in place
             if random_p:
-                np.putmask(row_sims, ~neg, -np.inf)
+                np.putmask(row_sims, same, -np.inf)
             else:
                 row_sims[each[:, None], members] = -np.inf
             n = row_sims.argmax(axis=1)

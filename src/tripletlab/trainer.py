@@ -19,6 +19,8 @@ Everything is driven by one seeded generator, so training is
 bit-deterministic given (dataset, config). Batches are drawn up to
 _DRAW_ROWS rows ahead of their steps, with the generator calls in per-step
 order (classes, pairs, the batch's mining seed), so no bit depends on it.
+Each batch is mined under labels 0, 0, 1, 1, ..., its own partition (rows
+2c and 2c + 1 share a class), so the miner builds its class layout once.
 """
 
 from __future__ import annotations
@@ -192,8 +194,6 @@ def train(
     recall@1 (self excluded) and mean off-diagonal similarity over the
     full dataset embedding. Every snapshot_every epochs the log keeps the
     last batch's mined triplets with indices remapped to dataset rows.
-    Batches are drawn up to _DRAW_ROWS rows ahead of their steps, each
-    batch's mining seed right after it, as a per-step loop would draw them.
     Raises DatasetParseError when a class has one member, and
     DegenerateVectorError when training diverges (an embedding norm or an
     SGD update overflows) or an epoch's mean loss overflows.
@@ -211,6 +211,7 @@ def train(
     n, k = len(dataset), config.classes_per_batch
     batches = config.batches_per_epoch or max(1, round(n / (2 * k)))
     per_block = max(1, _DRAW_ROWS // (2 * k))
+    layout = np.repeat(np.arange(k), 2)  # see the module docstring
     rng = np.random.default_rng(config.seed)
     params = init_params(
         dataset.dim, config.embed_dim, seed=int(rng.integers(_SEED_MAX))
@@ -222,10 +223,10 @@ def train(
         for first in range(0, batches, per_block):
             block, seeds = _sample_batch(rng, rows, start, bounds, k,
                                          min(per_block, batches - first))
-            for idx, labels, seed in zip(block, dataset.labels[block], seeds):
+            for idx, seed in zip(block, seeds):
                 xs = dataset.points[idx]  # per step: input_dim may be large
                 feats, norms = embed(params, xs)
-                batch = Batch(embeddings=feats, labels=labels)
+                batch = Batch(embeddings=feats, labels=layout)
                 mined = mine(batch, config.strategy, seed=seed)
                 s_ap.append(mined.s_ap)
                 s_an.append(mined.s_an)

@@ -81,6 +81,17 @@ class TestUnitRows:
             with pytest.raises(DegenerateVectorError):
                 geometry.unit_rows(rows)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.0, 0.0], [0.6, 0.8]], "a row is a zero vector"),
+        ([[1e-13, 0.0], [1e200, 1e200]], "a row's norm overflows or is not"),
+        ([[0.0, 0.0], [np.nan, 1.0]], "a row's norm overflows or is not"),
+        ([[np.inf, 0.0], [0.6, 0.8]], "a row's norm overflows or is not"),
+    ], ids=["zero", "zero and overflow", "zero and nan", "inf"])
+    def test_refusal_names_a_non_finite_norm_first(self, rows, message):
+        """A non-finite norm is named even when another row is zero."""
+        with pytest.raises(DegenerateVectorError, match=message):
+            geometry.unit_rows(np.array(rows))
+
 
 def mined_coords(emb):
     """Diagram points that hn mining measures on a batch of two pairs,

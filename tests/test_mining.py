@@ -128,6 +128,19 @@ class TestBatch:
             with pytest.raises(ValueError, match="unit vectors"):
                 Batch(embeddings=[[1e200, 0.0], [0.0, 1.0]], labels=[0, 1])
 
+    @pytest.mark.parametrize("offset, taken", [
+        (0.9e-6, True), (-0.9e-6, True), (1.1e-6, False), (-1.1e-6, False),
+    ])
+    def test_norm_within_1e_6_of_one(self, offset, taken):
+        """A row is unit when its norm is within 1e-6 of 1, whichever way
+        the norm is computed."""
+        emb = np.array([[0.6, 0.8], [0.0, 1.0]]) * [[1.0 + offset], [1.0]]
+        if taken:
+            assert np.array_equal(Batch(emb, [0, 1]).embeddings, emb)
+        else:
+            with pytest.raises(ValueError, match="unit vectors"):
+                Batch(embeddings=emb, labels=[0, 1])
+
     @pytest.mark.parametrize("labels", [
         np.array([[0], [0], [1], [1]]), np.array(0), None,
     ], ids=["column", "0-D", "none"])
@@ -306,6 +319,51 @@ def test_mining_and_diagram_match_brute_force_with_ties(batch, exact, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mining, "_BLOCK_ROWS", 3)
         check_mining_against_brute_force(exact, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(batch=tied_batches(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mining_depends_only_on_the_partition(batch, seed, data):
+    """Relabelled by an injective map (shuffled int64 ids, uint8 ids, ids
+    by first appearance as the trainer's layout labels), a batch mines the
+    same Triplets under every strategy, with the class-table cache cleared
+    and warm. In blocks of 3 rows a table cached for one whole-batch block
+    serves too. The cached arrays are read-only, and the cache holds at
+    most maxsize tables."""
+    _, seen, inverse = np.unique(batch.labels, return_index=True,
+                                 return_inverse=True)
+    ids = st.lists(st.integers(-2**62, 2**62), min_size=len(seen),
+                   max_size=len(seen), unique=True)
+    small = st.lists(st.integers(0, 255), min_size=len(seen),
+                     max_size=len(seen), unique=True)
+    relabelled = [np.array(data.draw(ids), np.int64)[inverse],
+                  np.array(data.draw(small), np.uint8)[inverse],
+                  seen.argsort().argsort()[inverse]]
+    table, default = mining._class_table, mining._BLOCK_ROWS
+    for block_rows in (default, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mining, "_BLOCK_ROWS", block_rows)
+            for strategy in MiningStrategy:
+                table.cache_clear()
+                want = mine(batch, strategy, seed)
+                for labels in relabelled:
+                    other = Batch(embeddings=batch.embeddings, labels=labels)
+                    table.cache_clear()
+                    assert mine(other, strategy, seed) == want  # cold
+                    assert mine(other, strategy, seed) == want  # warm
+                    if block_rows == 3:  # a whole-batch table, 3-row blocks
+                        with pytest.MonkeyPatch.context() as whole:
+                            whole.setattr(mining, "_BLOCK_ROWS", default)
+                            table.cache_clear()
+                            table(labels.tobytes(), labels.dtype)
+                        assert mine(other, strategy, seed) == want
+    for labels in relabelled:
+        for array in table(labels.tobytes(), labels.dtype):
+            assert array is None or not array.flags.writeable
+    for shift in range(2 * table.cache_info().maxsize):
+        table((batch.labels + shift).tobytes(), batch.labels.dtype)
+    info = table.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("seed", range(8))
