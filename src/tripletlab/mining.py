@@ -174,7 +174,7 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
                             MiningStrategy.EASY_POSITIVE)
     drawn = ((random_p and (size[anchors] > 2).any())
              or (random_n and (size[anchors] < len(batch) - 1).any()))
-    if drawn:  # a row per anchor: the positive's draw, then the negative's
+    if drawn:  # a row per anchor, a column per drawn role (positive first)
         counts = np.stack((size[anchors] - 1, len(batch) - size[anchors]), 1)
         draws = np.random.default_rng(seed).integers(
             0, counts[:, 1 - random_p:1 + random_n])
