@@ -5,13 +5,13 @@ one triplet per anchor. An item anchors when its class has a second member
 and the batch holds another class, so a batch of one class, or of
 singleton classes only, mines no triplet. Selection reads the batch
 similarity matrix one block of rows at a time, and ties always go to
-the lowest index. An easiest positive is the argmax over the anchor's
-class members, gathered in ascending index order. A hardest negative is
-a plain argmax over the block's own product after its same-class
-columns are filled with -inf. Semi-hard negatives and random picks use
-label masks. Random picks come from the caller's seed: one uniform
-draw per anchor and random role, in anchor order, with the positive drawn
-before the negative under ``random``. Mining is a pure function of
+the lowest index. Every pick reads one table of each anchor's class
+members, ascending: a drawn positive or a random negative indexes it,
+and an easiest positive or a hardest or semi-hard negative is one
+argmax (or argmin) after the block's member columns are filled with
+-inf or +inf. Random picks come from the caller's seed: one uniform
+draw per anchor and random role, in anchor order, with the positive
+drawn before the negative under ``random``. Mining is a pure function of
 (batch, strategy, seed).
 """
 
@@ -116,27 +116,27 @@ def _row_blocks(queries: np.ndarray,
         yield lo, queries[lo:lo + _BLOCK_ROWS] @ gallery.T
 
 
-def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Column of each row's k-th (0-based) True entry. The running count
-    is int32, half the default's bytes: it never exceeds the row width."""
-    return (mask.cumsum(axis=1, dtype=np.int32) > k[:, None]).argmax(axis=1)
+def _members(order, first, size, rows) -> np.ndarray:
+    """Each row's class members, ascending, padded with the last."""
+    span = np.arange(size[rows].max(initial=1))
+    return order[first[rows, None] + np.minimum(span, size[rows, None] - 1)]
 
 
 @functools.lru_cache(maxsize=8)
 def _class_table(key: bytes, dtype: np.dtype) -> tuple:
-    """Read-only (order, first, size, anchors, undrawn, same) of the labels
-    whose bytes are key: an item's class is order[first:first + size],
-    ascending; undrawn is an anchor's first other member, and same the
-    anchors' same-class mask, None past one block."""
+    """Read-only (order, first, size, anchors, undrawn, members) of the
+    labels whose bytes are key: an item's class is order[first:first +
+    size], ascending; undrawn is an anchor's first other member, and
+    members the anchors' _members, None past one block."""
     labels = np.frombuffer(key, dtype)
     order = labels.argsort(kind="stable")
     first = labels[order].searchsorted(labels, "left")
     size = labels[order].searchsorted(labels, "right") - first
     anchors = ((size > 1) & (size < len(labels))).nonzero()[0]
     undrawn = order[first[anchors] + (order[first[anchors]] == anchors)]
-    same = (labels[anchors, None] == labels
-            if len(labels) <= _BLOCK_ROWS else None)
-    table = (order, first, size, anchors, undrawn, same)
+    members = (_members(order, first, size, anchors)
+               if len(labels) <= _BLOCK_ROWS else None)
+    table = (order, first, size, anchors, undrawn, members)
     for array in filter(lambda a: a is not None, table):
         array.flags.writeable = False
     return table
@@ -156,7 +156,7 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
 
     Picks and ties follow the module docstring. Mining reads only which
     items share a class: batches with the same label bytes share one
-    cached class layout (_class_table).
+    cached class layout and member table (_class_table).
 
     A draw whose range holds one value, such as the only positive of a
     two-per-class batch, would return 0: when no draw has a wider range,
@@ -166,7 +166,7 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
     strategy = MiningStrategy(strategy)
     check_count("seed", seed, 0)
     labels = batch.labels
-    order, first, size, anchors, undrawn, same_mask = _class_table(
+    order, first, size, anchors, undrawn, table = _class_table(
         labels.tobytes(), labels.dtype)
     random_p = strategy not in (MiningStrategy.EASY_POSITIVE,
                                 MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE)
@@ -191,35 +191,31 @@ def mine(batch: Batch, strategy: MiningStrategy, seed: int) -> Triplets:
         # its own anchor rows: no copy
         row_sims = block if rows.size == len(block) else block[rows - lo]
         each = np.arange(rows.size)
-        if strategy != MiningStrategy.EASY_POSITIVE_HARD_NEGATIVE:
-            same = (labels[rows, None] == labels if same_mask is None
-                    else same_mask[part])
-        if random_p and drawn:
-            pos = same.copy()
-            pos[each, rows] = False
-            p = _nth(pos, draws[part, 0])
+        members = (_members(order, first, size, rows) if table is None
+                   else table[part])
+        if random_p and drawn:  # the d-th member that is not the anchor
+            d = draws[part, 0]
+            p = members[each, d + (members[each, d] >= rows)]
         elif random_p:
             p = undrawn[part]
         else:
-            # each anchor's class members, ascending, padded with the last
-            span = np.arange(size[rows].max(initial=1))[:, None]
-            members = order[(first[rows]
-                             + np.minimum(span, size[rows] - 1)).T]
             row_sims[each, rows] = -np.inf  # not itself, nor as padding
             p = members[each, row_sims[each[:, None], members].argmax(axis=1)]
         s_ap[part] = row_sims[each, p]
-        if random_n:
-            n = _nth(~same, draws[part, -1]) if drawn else same.argmin(axis=1)
+        if random_n:  # the d-th non-member: d plus the members m_i (the
+            # i-th, padding left out) with m_i - i <= d
+            d = draws[part, -1] if drawn else np.zeros_like(rows)
+            slot = np.arange(members.shape[1])
+            n = d + ((members - slot <= d[:, None])
+                     & (slot < size[rows, None])).sum(axis=1)
         elif strategy == MiningStrategy.SEMI_HARD_NEGATIVE:
-            feasible = ~same & (row_sims < s_ap[part, None])
-            n = np.where(feasible.any(axis=1),
-                         np.where(feasible, row_sims, -np.inf).argmax(axis=1),
-                         np.where(same, np.inf, row_sims).argmin(axis=1))
+            row_sims[each[:, None], members] = np.inf
+            below = row_sims < s_ap[part, None]
+            n = np.where(below.any(axis=1),
+                         np.where(below, row_sims, -np.inf).argmax(axis=1),
+                         row_sims.argmin(axis=1))
         else:  # row_sims is a fresh product: fill class columns in place
-            if random_p:
-                np.putmask(row_sims, same, -np.inf)
-            else:
-                row_sims[each[:, None], members] = -np.inf
+            row_sims[each[:, None], members] = -np.inf
             n = row_sims.argmax(axis=1)
         positive[part], negative[part] = p, n
         s_an[part] = row_sims[each, n]

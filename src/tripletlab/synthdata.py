@@ -216,7 +216,8 @@ def _read_plain(raw: bytes, first: int):
 
 def _read_csv(path: Path, first: int):
     """(header, labels, values) from csv.reader, int() and float() per
-    cell, raising for the first malformed line."""
+    cell, raising for the first line with a wrong width, a label that
+    int() refuses or int64 cannot hold, or a cell that float() refuses."""
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -227,24 +228,7 @@ def _read_csv(path: Path, first: int):
     header, body = rows[0], rows[1:]
     if not body:
         raise DatasetParseError(f"{path}: no data rows")
-    if any(len(row) != len(header) for row in body):
-        _raise_first_bad_line(path, header, body, first)
-    try:
-        labels = (np.array([int(row[0]) for row in body], dtype=np.int64)
-                  if first else None)
-        # float() of every cell, labels included: int() text is float() text
-        values = np.array(body, dtype=np.float64)[:, first:].copy()
-    except (ValueError, OverflowError):
-        _raise_first_bad_line(path, header, body, first)
-        raise
-    return header, labels, values
-
-
-def _raise_first_bad_line(path: Path, header: list[str],
-                          body: list[list[str]], first: int) -> None:
-    """Raise for the first row with a wrong width, a label that int()
-    refuses or int64 cannot hold, or a cell that float() refuses, checking
-    one row at a time."""
+    labels, values = [], []
     for lineno, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DatasetParseError(
@@ -252,13 +236,17 @@ def _raise_first_bad_line(path: Path, header: list[str],
                 f"got {len(row)}"
             )
         try:
-            if first and not -2**63 <= int(row[0]) < 2**63:
+            label = int(row[0]) if first else 0
+            if not -2**63 <= label < 2**63:
                 raise ValueError(f"label {row[0]} does not fit in int64")
-            [float(x) for x in row[first:]]
+            labels.append(label)
+            values.append([float(x) for x in row[first:]])
         except ValueError as exc:
             raise DatasetParseError(
                 f"{path}: line {lineno}: {exc}"
             ) from exc
+    return (header, np.array(labels, np.int64) if first else None,
+            np.array(values, np.float64))
 
 
 def load(path: str | Path) -> LabeledDataset:

@@ -409,12 +409,20 @@ def test_unequal_classes_across_blocks_match_brute_force():
             assert np.array_equal(batch.embeddings, before)
 
 
-def test_hn_peak_memory_is_within_two_and_a_half_blocks():
-    """4,096 points under hn: the traced peak of one call stays within
-    2.5 similarity blocks (20 MiB): the block, its same-class mask and
-    _nth's running count, which is int32, not an int64 block."""
+@pytest.mark.parametrize("strategy", ["random", "hn", "ep"])
+def test_peak_memory_is_within_one_and_a_half_blocks(strategy):
+    """4,096 points: the traced peak of one call stays within 1.5
+    similarity blocks (12 MiB): the block and the member table, with no
+    n-wide label mask or running count."""
+    assert_peak_within_blocks(lambda b: mine(b, strategy, 0), 1.5)
+
+
+def test_shn_peak_memory_is_within_two_and_a_half_blocks():
+    """4,096 points under shn: the traced peak of one call stays within
+    2.5 similarity blocks (20 MiB): the block and its copy with the
+    entries at or above s_ap set to -inf."""
     assert_peak_within_blocks(
-        lambda b: mine(b, MiningStrategy.HARD_NEGATIVE, 0), 2.5)
+        lambda b: mine(b, MiningStrategy.SEMI_HARD_NEGATIVE, 0), 2.5)
 
 
 def check_mining_against_brute_force(batch, seed):

@@ -47,7 +47,7 @@ DELETED = {
     "feature_grads", "TripletFeatures", "coord_of", "normalize", "cosine",
     "similarity_matrix", "hard_fraction", "step_nca", "step_margin",
     "GridSpec", "NoNegativesError", "FeatureGrads", "_cosines",
-    "_closed_form", "_fill",
+    "_closed_form", "_fill", "_nth", "_raise_first_bad_line",
 }
 
 # every setting, each one set by the CLI or the benchmark harness
