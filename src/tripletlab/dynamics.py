@@ -34,11 +34,11 @@ floats and arrays of points, with the same bits. Each formula takes its
 sqrt, max-with-0, select and exp from ``geometry.elementwise``: a point
 of Python floats steps in Python floats (a trajectory builds no numpy
 scalar but one exp per step), arrays and mixed points step in numpy;
-``geometry._FLOAT_OPS`` says why exp stays numpy's. A zero denominator
-in floats is redone in numpy scalars, so it gives numpy's inf or nan,
-not ZeroDivisionError. Everything in this module is validated against an
-explicit 3D vector oracle in the tests; the closed forms are exact, not
-approximations.
+``geometry._FLOAT_OPS`` says why exp stays numpy's. A step takes each
+radicand 1 - s^2 once, for the norms and for s_pn by s_pn_from's
+definition. A zero denominator in floats is redone in numpy scalars:
+numpy's inf or nan, not ZeroDivisionError. The tests check the closed
+forms, which are exact, against an explicit 3D vector oracle.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ import numpy as np
 from .geometry import (
     DegenerateVectorError,
     TripletCoord,
+    _s_pn,
     check_amount,
     check_count,
     elementwise,
     is_real,
-    s_pn_from,
 )
 from .losses import LossKind, LossSpec, hinge_argument, softmax_weight
 
@@ -134,13 +134,13 @@ def step(coord: TripletCoord, params: StepParams) -> SimilarityUpdate:
     keep_p = 1.0 - shrink * beta
     keep_n = 1.0 + shrink * beta
     b2 = beta * beta
-    s_pn = s_pn_from(coord, gamma)
+    rad_ap = ops.relu(1.0 - s_ap * s_ap)
+    rad_an = ops.relu(1.0 - s_an * s_an)
+    s_pn = _s_pn(coord, rad_ap, rad_an, gamma, ops.sqrt)
     s_ap_new = ((keep_p + b2) * s_ap + 2.0 * beta - shrink * b2
                 - beta * keep_p * s_pn - b2 * s_an)
     s_an_new = ((keep_n + b2) * s_an - 2.0 * beta - shrink * b2
                 + beta * keep_n * s_pn - b2 * s_ap)
-    rad_ap = ops.relu(1.0 - s_ap * s_ap)
-    rad_an = ops.relu(1.0 - s_an * s_an)
     along_p = keep_p + beta * s_ap
     along_n = keep_n - beta * s_an
     norm_p = ops.sqrt(along_p * along_p + b2 * rad_ap)
@@ -204,12 +204,11 @@ def trajectory(
 ) -> list[TripletCoord]:
     """Roll the entangled deltas forward from a starting diagram point.
 
-    Returns steps+1 points including the start; each step adds
-    (d_sap_total, d_san_total) and clamps back into the diagram square,
-    since the first-order deltas can overshoot at coarse learning rates.
-    The start must be two real numbers (see geometry.is_real) in the
-    square. A non-finite delta (the step overflows or zeroes a feature)
-    raises DegenerateVectorError.
+    Returns steps+1 points, the start first. Each step adds the deltas
+    and clamps into the square, which first-order deltas overshoot at
+    coarse learning rates, by two comparisons that keep -0.0 and exact
+    edges. The start must be two real numbers (geometry.is_real) in the
+    square; a non-finite delta raises DegenerateVectorError.
     """
     if not (is_real(start.s_ap) and is_real(start.s_an)
             and -1.0 <= start.s_ap <= 1.0 and -1.0 <= start.s_an <= 1.0):
@@ -221,13 +220,14 @@ def trajectory(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(steps):
             upd = step(coord, params)
-            d_sap, d_san = upd.d_sap_total, upd.d_san_total
-            if not (math.isfinite(d_sap) and math.isfinite(d_san)):
+            s_ap = coord.s_ap + upd.d_sap_total  # finite iff the delta is
+            s_an = coord.s_an + upd.d_san_total
+            if not (math.isfinite(s_ap) and math.isfinite(s_an)):
                 raise DegenerateVectorError(
                     f"trajectory step {len(points)} is not finite: the "
-                    "step overflows or zeroes a feature"
-                )
-            coord = TripletCoord(min(max(coord.s_ap + d_sap, -1.0), 1.0),
-                                 min(max(coord.s_an + d_san, -1.0), 1.0))
+                    "step overflows or zeroes a feature")
+            coord = TripletCoord(
+                -1.0 if s_ap < -1.0 else 1.0 if s_ap > 1.0 else s_ap,
+                -1.0 if s_an < -1.0 else 1.0 if s_an > 1.0 else s_an)
             points.append(coord)
     return points

@@ -112,7 +112,12 @@ def s_pn_from(coord: TripletCoord, gamma_value: float) -> float:
     ops = elementwise(coord)
     rad_ap = ops.relu(1.0 - coord.s_ap * coord.s_ap)
     rad_an = ops.relu(1.0 - coord.s_an * coord.s_an)
-    return coord.s_ap * coord.s_an + gamma_value * ops.sqrt(rad_ap * rad_an)
+    return _s_pn(coord, rad_ap, rad_an, gamma_value, ops.sqrt)
+
+
+def _s_pn(coord: TripletCoord, rad_ap, rad_an, gamma_value, sqrt):
+    """s_pn_from's formula, given the radicands clamped at zero."""
+    return coord.s_ap * coord.s_an + gamma_value * sqrt(rad_ap * rad_an)
 
 
 def gamma(coord: TripletCoord, s_pn: float) -> float:

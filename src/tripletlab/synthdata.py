@@ -226,6 +226,8 @@ def _read_csv(path: Path, first: int):
     if not rows:
         raise DatasetParseError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
+    if not header:
+        raise DatasetParseError(f"{path}: line 1: empty header")
     if not body:
         raise DatasetParseError(f"{path}: no data rows")
     labels, values = [], []
@@ -242,9 +244,7 @@ def _read_csv(path: Path, first: int):
             labels.append(label)
             values.append([float(x) for x in row[first:]])
         except ValueError as exc:
-            raise DatasetParseError(
-                f"{path}: line {lineno}: {exc}"
-            ) from exc
+            raise DatasetParseError(f"{path}: line {lineno}: {exc}") from exc
     return (header, np.array(labels, np.int64) if first else None,
             np.array(values, np.float64))
 

@@ -360,6 +360,27 @@ def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert codes == [0, 2]
 
 
+@pytest.mark.parametrize("text", ["\n\n\n", "\n\n"], ids=["three", "two"])
+@pytest.mark.parametrize("role", ["data", "weights", "train"])
+def test_blank_lines_file_is_data_error(outdir, capsys, role, text):
+    """A file of blank lines has an empty header: diagram --data,
+    diagram --weights and train --data print one data error line naming
+    line 1 and exit 2, with no traceback and no output file."""
+    main(gen_args(dim=2))
+    (outdir / "blank.csv").write_text(text)
+    data, weights = str(outdir / "data.csv"), str(outdir / "blank.csv")
+    if role != "weights":
+        data, weights = weights, None
+    argv = ["train" if role == "train" else "diagram", "--data", data,
+            "--out-prefix", "d"]
+    capsys.readouterr()
+    assert main(argv + (["--weights", weights] if weights else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"tripletlab: data error: {outdir / 'blank.csv'}: "
+                   "line 1: empty header"]
+    assert not list(outdir.glob("d.*"))
+
+
 def _rewrite_for_the_csv_reader(path):
     """The table at path with \\r\\n line ends, each body row's first
     cell quoted and the others padded with spaces: cells csv.reader,

@@ -418,6 +418,14 @@ def _array_rollout(start, params, steps):
          entanglement_p=0.0, margin=0.0, steps=1)
 @example(start=(0.99, -0.99), kind=LossKind.NCA, learning_rate=2.0,
          gamma=1.0, entanglement_p=2.0, margin=0.0, steps=3)
+# the clamp's edges: a -0.0 start, a first step past -1 on s_ap (to
+# -1.043) and one past +1 on s_an (to 1.043)
+@example(start=(-0.0, 0.5), kind=LossKind.NCA, learning_rate=0.5,
+         gamma=0.0, entanglement_p=1.0, margin=0.0, steps=2)
+@example(start=(-0.99, -0.5), kind=LossKind.NCA, learning_rate=0.5,
+         gamma=-1.0, entanglement_p=1.0, margin=0.0, steps=3)
+@example(start=(0.5, 0.99), kind=LossKind.NCA, learning_rate=0.5,
+         gamma=-1.0, entanglement_p=1.0, margin=0.0, steps=3)
 def test_trajectory_equals_array_rollout_bit_for_bit(
         start, kind, learning_rate, gamma, entanglement_p, margin, steps):
     """trajectory steps a point of Python floats; the same rollout on

@@ -301,6 +301,8 @@ def csv_read_table(path, labeled=False):
         raise DatasetParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise DatasetParseError(f"{path}: empty file")
+    if not rows[0]:
+        raise DatasetParseError(f"{path}: line 1: empty header")
     if len(rows) == 1:
         raise DatasetParseError(f"{path}: no data rows")
     header, first = rows[0], int(labeled)
@@ -377,6 +379,8 @@ def numeric_tables(draw):
 @example(text="label,x0\n")  # no data rows
 @example(text="label\n3\n")  # no value column
 @example(text="\n1,2\n")  # an empty header
+@example(text="\n\n\n")  # blank lines: an empty header and empty rows
+@example(text="\n\n")
 @example(text=b"label,x0\n1,0.5\n2,\xff\n")  # not UTF-8
 @example(text=b"label,x\xff\n1,0.5\n")  # a header not UTF-8
 @example(text="label,x0\n1," + "0" * 131073 + "\n")  # past the field limit
