@@ -1,5 +1,5 @@
-"""Numbers as text, a whole column at a time: every number in the package's
-CSV and SVG files is written here.
+"""Numbers as text, a whole column at a time: every CSV cell and every
+data coordinate of an SVG chart (its frame is literal text) is written here.
 
 A template is text with ``%.2f``, ``%.12g`` and ``%d`` slots. ``_blocks``,
 the module's one entry, fills rows of templates from whole columns,

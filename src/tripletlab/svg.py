@@ -5,13 +5,13 @@ nothing external referenced, so files diff cleanly across runs. Each chart
 returns its document as bytes, joined once from the renderer's blocks;
 the CLI writes them to the file exactly as returned.
 
-Every coordinate (and every other float the charts print) is written by
-the package's one number renderer, ``_render._blocks``, which also writes
-every CSV cell: it fills ``%.2f`` templates from whole float64 columns
-with the bytes of ``"%.2f" %``. It prints rint(|v| * 100) from byte
-tables; a value whose |v| * 100 lies within 1e-6 of a half (exact ties
-such as 0.125 included) or whose |v| is not below 9999.995 (inf and nan
-included) is printed by ``"%.2f" %`` itself."""
+Every coordinate a chart computes from its data is written by the
+package's one number renderer, ``_render._blocks``, which also writes
+every CSV cell: the bytes of ``"%.2f" %``, from byte tables of
+rint(|v| * 100), or by ``%`` itself for a value within 1e-6 of a half
+cent (exact ties such as 0.125 included) or not below 9999.995 (inf and
+nan included). A chart's fixed frame is literal text, formatted once at
+import by f-strings."""
 
 from __future__ import annotations
 
@@ -63,17 +63,15 @@ def _square_axes() -> bytes:
     """The diagram's frame, ticks, s_ap and s_an labels and diagonal."""
     x0, x1 = _sq_x(-1.0), _sq_x(1.0)
     y0, y1 = _sq_y(-1.0), _sq_y(1.0)
-    parts = ['<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-             'fill="none" stroke="black"/>']
-    values = [x0, y1, x1 - x0, y0 - y1]
+    parts = [f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{x1 - x0:.2f}" '
+             f'height="{y0 - y1:.2f}" fill="none" stroke="black"/>']
     for v in (-1.0, -0.5, 0.0, 0.5, 1.0):
         parts += [
-            '<text x="%.2f" y="%.2f" text-anchor="middle" '
+            f'<text x="{_sq_x(v):.2f}" y="{y0 + 18:.2f}" text-anchor="middle" '
             f'font-family="monospace" font-size="11">{v:g}</text>',
-            '<text x="%.2f" y="%.2f" text-anchor="end" '
+            f'<text x="{x0 - 8:.2f}" y="{_sq_y(v) + 4:.2f}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{v:g}</text>',
         ]
-        values += [_sq_x(v), y0 + 18, x0 - 8, _sq_y(v) + 4]
     parts += [
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">s_ap</text>',
@@ -81,27 +79,25 @@ def _square_axes() -> bytes:
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {HEIGHT // 2})">s_an</text>',
         # the s_an = s_ap diagonal separating hard from easy triplets
-        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
         'stroke="gray" stroke-dasharray="5,4"/>',
     ]
-    values += [x0, y0, x1, y1]
-    return b"".join(_blocks(["\n".join(parts)], [[v] for v in values]))
+    return ("\n".join(parts) + "\n").encode()
 
 
 def _chart_frame() -> bytes:
     """The line chart's frame, y ticks at quarters and epoch label."""
     parts = [f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
              f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>']
-    values = []
     for v in np.arange(5) / 4:
-        parts.append(f'<text x="{MARGIN - 8}" y="%.2f" text-anchor="end" '
-                     'font-family="monospace" font-size="11">%.2f</text>')
-        values += [_chart_y(v) + 4, v]
+        parts.append(f'<text x="{MARGIN - 8}" y="{_chart_y(v) + 4:.2f}" '
+                     'text-anchor="end" font-family="monospace" '
+                     f'font-size="11">{v:.2f}</text>')
     parts.append(
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">epoch</text>'
     )
-    return b"".join(_blocks(["\n".join(parts)], [[v] for v in values]))
+    return ("\n".join(parts) + "\n").encode()
 
 
 _AXES = _square_axes()

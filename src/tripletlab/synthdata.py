@@ -16,12 +16,12 @@ value whose 12-digit scaling lies within 1e-3 of a half; ``%d`` cells
 (int, uint and bool columns) through the same ``%.12g`` tables below
 10^12 in magnitude, by ``"%d" %`` above.
 
-``read_table`` is the one CSV reader. A file whose body is plain numbers
-(the bytes ``0-9 + - . e E ,`` and newlines only, as ``write_table``
-writes them) under a header without quotes or carriage returns is parsed
-in one ``np.loadtxt`` pass; any other file goes through ``csv.reader``,
-with ``int()`` and ``float()`` per cell, which would give the same
-arrays or the same error.
+``read_table`` is the one CSV reader, and reads each file once. A file
+whose body is plain numbers (the bytes ``0-9 + - . e E ,`` and newlines
+only, as ``write_table`` writes them) under a header without quotes or
+carriage returns is parsed in one ``np.loadtxt`` pass; any other file goes
+through ``csv.reader``, ``int()`` and ``float()`` per cell, which give the
+same arrays or the same error, and name the line of an over-long field.
 """
 
 from __future__ import annotations
@@ -151,14 +151,15 @@ def read_table(
     holds int labels and values the remaining columns; otherwise labels
     is None and values holds every column. Non-finite values are rejected.
 
-    A plain numeric body is parsed in one pass (``_read_plain``); any other
-    file by ``csv.reader``, ``int()`` and ``float()`` per cell, which would
-    return the same arrays bit for bit. Either way values is C-contiguous.
+    The file is read once: a plain numeric body is parsed in one pass
+    (``_read_plain``), any other by ``csv.reader``, ``int()`` and ``float()``
+    per cell, which return the same arrays bit for bit. Either way values
+    is C-contiguous. A field past csv's size limit is refused by line.
     """
     path = Path(path)
     first = 1 if labeled else 0
-    table = _read_plain(path.read_bytes(), first)
-    header, labels, values = table or _read_csv(path, first)
+    table = _read_plain(raw := path.read_bytes(), first)
+    header, labels, values = table or _read_csv(raw, path, first)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise DatasetParseError(
@@ -214,15 +215,17 @@ def _read_plain(raw: bytes, first: int):
     return (header, None, table) if table.shape[1] == width else None
 
 
-def _read_csv(path: Path, first: int):
-    """(header, labels, values) from csv.reader, int() and float() per
-    cell, raising for the first line with a wrong width, a label that
-    int() refuses or int64 cannot hold, or a cell that float() refuses."""
+def _read_csv(raw: bytes, path: Path, first: int):
+    """(header, labels, values) from csv.reader over raw's UTF-8 text and
+    int() and float() per cell, raising at the first line with a field csv
+    refuses, a wrong width, a bad or int64-overflowing label or a bad cell."""
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise DatasetParseError(f"{path}: line {reader.line_num}: {exc}")
     if not rows:
         raise DatasetParseError(f"{path}: empty file")
     header, body = rows[0], rows[1:]

@@ -360,25 +360,41 @@ def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert codes == [0, 2]
 
 
-@pytest.mark.parametrize("text", ["\n\n\n", "\n\n"], ids=["three", "two"])
-@pytest.mark.parametrize("role", ["data", "weights", "train"])
-def test_blank_lines_file_is_data_error(outdir, capsys, role, text):
-    """A file of blank lines has an empty header: diagram --data,
-    diagram --weights and train --data print one data error line naming
-    line 1 and exit 2, with no traceback and no output file."""
+def _refusal(outdir, capsys, role, text):
+    """The stderr lines of diagram --data, diagram --weights or train
+    --data (by role) on a file of text, which must exit 2 and write no
+    output file."""
     main(gen_args(dim=2))
-    (outdir / "blank.csv").write_text(text)
-    data, weights = str(outdir / "data.csv"), str(outdir / "blank.csv")
+    (outdir / "bad.csv").write_text(text)
+    data, weights = str(outdir / "data.csv"), str(outdir / "bad.csv")
     if role != "weights":
         data, weights = weights, None
     argv = ["train" if role == "train" else "diagram", "--data", data,
             "--out-prefix", "d"]
     capsys.readouterr()
     assert main(argv + (["--weights", weights] if weights else [])) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"tripletlab: data error: {outdir / 'blank.csv'}: "
-                   "line 1: empty header"]
     assert not list(outdir.glob("d.*"))
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("text", ["\n\n\n", "\n\n"], ids=["three", "two"])
+@pytest.mark.parametrize("role", ["data", "weights", "train"])
+def test_blank_lines_file_is_data_error(outdir, capsys, role, text):
+    """A file of blank lines has an empty header: diagram --data,
+    diagram --weights and train --data print one data error line naming
+    line 1 and exit 2, with no traceback and no output file."""
+    assert _refusal(outdir, capsys, role, text) == [
+        f"tripletlab: data error: {outdir / 'bad.csv'}: line 1: empty header"]
+
+
+@pytest.mark.parametrize("role", ["data", "weights", "train"])
+def test_over_long_field_is_data_error(outdir, capsys, role):
+    """A cell past csv's field size limit (131,072 characters) is a data
+    error naming its line, with no traceback and no output file."""
+    text = "w0,w1\n0," + "0" * 131073 + "\n"
+    assert _refusal(outdir, capsys, role, text) == [
+        f"tripletlab: data error: {outdir / 'bad.csv'}: line 2: field "
+        "larger than field limit (131072)"]
 
 
 def _rewrite_for_the_csv_reader(path):

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -197,6 +198,16 @@ class TestSaveLoad:
                            match=f"{path.name}: not UTF-8 text"):
             read_table(path, labeled=labeled)
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_non_utf8_message_gives_the_file_offset(self, tmp_path, labeled):
+        """The offset of a byte that is not UTF-8 counts from the start of
+        the file, not from the start of a decode chunk."""
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5004 + b"\xff\n")
+        with pytest.raises(DatasetParseError,
+                           match="decode byte 0xff in position 20020:"):
+            read_table(path, labeled=labeled)
+
     def test_dataset_dim_and_classes(self):
         ds = generate(CFG)
         assert ds.dim == 16
@@ -294,11 +305,16 @@ def test_write_table_reads_back_bit_for_bit(tmp_path_factory, rows, dim,
 def csv_read_table(path, labeled=False):
     """read_table's csv path as an oracle: csv.reader, then int() and
     float() per cell, row by row, with read_table's messages."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise DatasetParseError(
+            f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DatasetParseError(f"{path}: empty file")
     if not rows[0]:
@@ -384,6 +400,9 @@ def numeric_tables(draw):
 @example(text=b"label,x0\n1,0.5\n2,\xff\n")  # not UTF-8
 @example(text=b"label,x\xff\n1,0.5\n")  # a header not UTF-8
 @example(text="label,x0\n1," + "0" * 131073 + "\n")  # past the field limit
+@example(text="label," + "x" * 131073 + "\n1,0.5\n")  # a header field too
+@example(text='label,x0\n1,"' + "0\n" * 65537 + '"\n')  # a multiline field
+@example(text=b"label,x0\n" + b"1,0.5\n" * 2000 + b"2,\xff\n")  # past 8 KiB
 def test_read_table_matches_the_csv_oracle(tmp_path_factory, text):
     """Labeled and not, read_table returns the oracle's header and
     arrays bit for bit, with its dtypes and C-contiguous values, or raises
